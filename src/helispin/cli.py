@@ -16,7 +16,7 @@ import copy
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
@@ -477,14 +477,8 @@ def execute_sweep(sweep: SweepSpec) -> list[list[str]]:
         try:
             _set_path(tree, sweep.parameter_path, value)
             scenario = parse_scenario(tree)
-            scenario = Scenario(
-                name=scenario.name,
-                family=scenario.family,
-                params=scenario.params,
-                grid=scenario.grid,
-                outputs=tuple(sorted(set(scenario.outputs) | set(needed))),
-                checks=scenario.checks,
-                mc=None,
+            scenario = replace(
+                scenario, outputs=tuple(sorted(set(scenario.outputs) | set(needed))), mc=None
             )
             result = execute_scenario(scenario, compute_convergence=False)
         except (
@@ -770,15 +764,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tree = load_input(args.scenario)
     scenario = parse_scenario(tree)
     if args.grid is not None:
-        scenario = Scenario(scenario.name, scenario.family, scenario.params,
-                            _parse_grid_option(args.grid), scenario.outputs,
-                            scenario.checks, scenario.mc)
+        scenario = replace(scenario, grid=_parse_grid_option(args.grid))
     if args.mc is not None:
         mc = _parse_mc_option(args.mc)
         if not any(q.endswith("_density") for q in scenario.outputs):
             raise ScenarioParseError("--mc requires a density output in the scenario")
-        scenario = Scenario(scenario.name, scenario.family, scenario.params,
-                            scenario.grid, scenario.outputs, scenario.checks, mc)
+        scenario = replace(scenario, mc=mc)
     result = execute_scenario(scenario)
     text = dumps_deterministic(report_tree(result))
     out_path = Path(args.out) if args.out else Path(f"{scenario.name}.report.json")

@@ -6,18 +6,19 @@ state is stored in the other basis, the amplitudes are first rotated node by
 node (algebraically identical to conjugating each outer product with the
 rotation, at half the per-node work).
 
-Accumulation runs in a fixed node order with numpy's pairwise summation;
-Hermitian symmetrization is applied exactly once, after accumulation, and
-normalization is re-enforced by dividing by the on-grid norm so the trace is
-1 to machine precision.
+One kernel, :func:`accumulate_outer`, serves every reduction: it sums only
+the three unique entries |up|^2, |down|^2 and up*conj(down), in the grid's
+one summation order, and fills in entry (1, 0) as the conjugate of (0, 1),
+so the matrix is Hermitian by construction. Normalization is re-enforced by
+dividing by the on-grid norm so the trace is 1 to machine precision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import linalg2
 from . import states as states_mod
 from .errors import ConfigurationError, ContractViolationError, NumericalDomainError
 from .quadrature import QuadratureGrid
@@ -56,7 +57,7 @@ class DensityMatrix2:
         tr = m[0, 0].real + m[1, 1].real
         if abs(tr - 1.0) > TRACE_TOL or abs(m[0, 0].imag + m[1, 1].imag) > TRACE_TOL:
             raise ContractViolationError(f"density matrix trace is {tr!r}, not 1")
-        lo, hi = _eigenvalues_closed_form(m)
+        hi, lo = eigenvalues_hermitian2(m)
         if lo < -EIGENVALUE_TOL or hi > 1.0 + EIGENVALUE_TOL:
             raise ContractViolationError(
                 f"eigenvalues ({hi}, {lo}) outside [0, 1] beyond tolerance"
@@ -68,31 +69,55 @@ class DensityMatrix2:
         return self.entries[idx]
 
 
-def _eigenvalues_closed_form(m: np.ndarray) -> tuple[float, float]:
-    """(low, high) eigenvalues of a Hermitian 2x2 via the quadratic formula."""
-    mean = 0.5 * (m[0, 0].real + m[1, 1].real)
-    radius = np.hypot(0.5 * (m[0, 0].real - m[1, 1].real), abs(m[0, 1]))
-    return mean - radius, mean + radius
+def _as_matrix(m) -> np.ndarray:
+    if isinstance(m, DensityMatrix2):
+        return m.entries
+    out = np.asarray(m, dtype=np.complex128)
+    if out.shape != (2, 2):
+        raise ContractViolationError(f"expected a 2x2 matrix, got shape {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise NumericalDomainError("matrix entries must be finite")
+    return out
 
 
-def accumulate_outer(measure: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """Raw weighted sum of outer products (no symmetrization, no rescaling).
+def eigenvalues_hermitian2(m) -> tuple[float, float]:
+    """Eigenvalues of a Hermitian 2x2 matrix, descending, via the quadratic
+    formula (trace/2 plus-minus the distance of the diagonal midpoint to the
+    spectrum edge).
 
-    Entry (a, b) is sum over nodes of measure * comp_a * conj(comp_b), each
-    entry reduced by a single pairwise np.sum in node order.
+    Accepts a DensityMatrix2 or any 2x2 array Hermitian to 1e-10.
     """
-    comps = (up, down)
-    out = np.empty((2, 2), dtype=np.complex128)
-    for a in range(2):
-        for b in range(2):
-            out[a, b] = np.sum(measure * comps[a] * np.conj(comps[b]))
+    mat = _as_matrix(m)
+    if np.max(np.abs(mat - np.conj(mat.T))) > HERMITICITY_TOL:
+        raise ContractViolationError("matrix is not Hermitian within tolerance")
+    mean = 0.5 * (mat[0, 0].real + mat[1, 1].real)
+    radius = np.hypot(0.5 * (mat[0, 0].real - mat[1, 1].real), abs(mat[0, 1]))
+    return float(mean + radius), float(mean - radius)
+
+
+def accumulate_outer(measure, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Weighted sum of outer products, Hermitian by construction.
+
+    Only |up|^2, |down|^2 and up*conj(down) are reduced; entry (1, 0) is the
+    conjugate of entry (0, 1). ``measure`` is either per-node weights, each
+    entry then being one pairwise np.sum in node order, or a function that
+    reduces an entry array (a grid's mesh or product sum, a Monte-Carlo
+    tile's moments). Axes of that reduction follow the two matrix axes.
+    """
+    reduce = measure if callable(measure) else (lambda x: np.sum(measure * x))
+    uu = reduce(up.real**2 + up.imag**2)
+    dd = reduce(down.real**2 + down.imag**2)
+    ud = reduce(up * np.conj(down))
+    out = np.empty((2, 2) + np.shape(ud), dtype=np.complex128)
+    out[0, 0], out[1, 1] = uu, dd
+    out[0, 1], out[1, 0] = ud, np.conj(ud)
     return out
 
 
 def density_from_samples(
     measure: np.ndarray, up: np.ndarray, down: np.ndarray, basis: Basis
 ) -> DensityMatrix2:
-    """Shared accumulation kernel: weighted outer products, symmetrized once.
+    """Shared accumulation kernel applied to per-node weights and amplitudes.
 
     The weights are expected to already include the p^2 factor of the measure
     and to describe a normalized ensemble (unit total probability).
@@ -104,80 +129,30 @@ def density_from_samples(
             i = int(np.argmax(bad))
             raise NumericalDomainError(f"non-finite {name} sample at node {i}")
     raw = accumulate_outer(measure, np.asarray(up), np.asarray(down))
-    return DensityMatrix2(entries=linalg2.hermitize(raw), basis=basis)
-
-
-def _slab_view(arr: np.ndarray, slab: slice) -> np.ndarray:
-    # broadcastable components may have a length-1 radial axis
-    return arr if arr.shape[0] == 1 else arr[slab]
-
-
-def _angular_sum(values: np.ndarray, grid: QuadratureGrid) -> complex:
-    """Weighted sum over the (theta, phi) sub-grid, azimuth first."""
-    s_phi = (values * grid.azimuthal_weights).sum(axis=-1)
-    return complex((s_phi * grid.polar_weights).sum())
-
-
-def _raw_product(state: OneParticleState, grid: QuadratureGrid, target: Basis) -> np.ndarray:
-    """Accumulation for radially separable states: the radial sum factors
-    out of every entry, leaving small angular sums."""
-    radial = states_mod.radial_values(state.product, grid)
-    r_sum = float(np.sum(grid.radial_measure * np.abs(radial) ** 2))
-    ang_up, ang_down = states_mod.angular_values(state.product, grid)
-    if state.basis != target:
-        transform = (
-            spin_components_to_helicity
-            if target == HELICITY
-            else helicity_components_to_spin
-        )
-        ang_up, ang_down = transform(ang_up, ang_down, grid.theta_col, grid.phi_row)
-    comps = (ang_up, ang_down)
-    raw = np.empty((2, 2), dtype=np.complex128)
-    shape = (grid.n_theta, grid.n_phi)
-    for a in range(2):
-        for b in range(2):
-            product = np.broadcast_to(comps[a] * np.conj(comps[b]), shape)
-            raw[a, b] = r_sum * _angular_sum(product, grid)
-    return raw
-
-
-def _raw_mesh(state: OneParticleState, grid: QuadratureGrid, target: Basis) -> np.ndarray:
-    """Generic accumulation over the full mesh, one radial slab at a time.
-
-    Each matrix entry is reduced azimuthal axis first, then polar, then
-    radial, each with numpy's pairwise summation; slab partials are added in
-    slab order. The result is therefore independent of how slabs would be
-    scheduled across workers.
-    """
-    up, down = state.components_on(grid)
-    if state.basis != target:
-        transform = (
-            spin_components_to_helicity
-            if target == HELICITY
-            else helicity_components_to_spin
-        )
-        up, down = transform(up, down, grid.theta_mesh, grid.phi_mesh)
-    comps = (up, down)
-    raw = np.zeros((2, 2), dtype=np.complex128)
-    for slab in grid.radial_slabs():
-        shape = (slab.stop - slab.start, grid.n_theta, grid.n_phi)
-        for a in range(2):
-            for b in range(2):
-                product = np.broadcast_to(
-                    _slab_view(comps[a], slab) * np.conj(_slab_view(comps[b], slab)),
-                    shape,
-                )
-                s_phi = (product * grid.azimuthal_weights).sum(axis=2)
-                s_theta = (s_phi * grid.polar_weights).sum(axis=1)
-                raw[a, b] += (s_theta * grid.radial_measure[slab]).sum()
-    return raw
+    return DensityMatrix2(entries=raw, basis=basis)
 
 
 def _reduce(state: OneParticleState, grid: QuadratureGrid, target: Basis) -> DensityMatrix2:
+    """Reduce on the grid. Radially separable states take the product path:
+    the radial sum factors out of every entry, leaving small angular sums.
+    Other states are reduced over the full mesh, one radial slab at a time."""
     if state.product is not None:
-        raw = _raw_product(state, grid, target)
+        radial = np.abs(states_mod.radial_values(state.product, grid)) ** 2
+        up, down = states_mod.angular_values(state.product, grid)
+        theta, phi = grid.theta_col, grid.phi_row
+        measure = partial(grid.product_sum, radial)
     else:
-        raw = _raw_mesh(state, grid, target)
+        up, down = state.components_on(grid)
+        theta, phi = grid.theta_mesh, grid.phi_mesh
+        measure = grid.mesh_sum
+    if state.basis != target:
+        transform = (
+            spin_components_to_helicity
+            if target == HELICITY
+            else helicity_components_to_spin
+        )
+        up, down = transform(up, down, theta, phi)
+    raw = accumulate_outer(measure, up, down)
     norm = raw[0, 0].real + raw[1, 1].real
     if abs(norm - 1.0) > NORM_TOL:
         raise ContractViolationError(
@@ -186,7 +161,7 @@ def _reduce(state: OneParticleState, grid: QuadratureGrid, target: Basis) -> Den
         )
     # re-enforce on-grid normalization so quadrature error never leaks into
     # the trace
-    return DensityMatrix2(entries=linalg2.hermitize(raw / norm), basis=target)
+    return DensityMatrix2(entries=raw / norm, basis=target)
 
 
 def reduced_spin_density(state: OneParticleState, grid: QuadratureGrid) -> DensityMatrix2:

@@ -1,10 +1,9 @@
-"""Closed-form eigenvalues of Hermitian 2x2 matrices and binary von Neumann
-entropy.
+"""Binary von Neumann entropy of 2x2 density matrices.
 
-The eigenvalues come from the quadratic formula (trace/2 plus-minus the
-distance of the diagonal midpoint to the spectrum edge); no iteration is
-involved, so the pi/8-type matrices evaluate exactly. Entropy is always in
-bits (base-2 logarithm), with the 0*log(0) = 0 convention.
+The eigenvalues come from the closed-form helper
+:func:`helispin.density.eigenvalues_hermitian2` (re-exported here); no
+iteration is involved, so the pi/8-type matrices evaluate exactly. Entropy
+is always in bits (base-2 logarithm), with the 0*log(0) = 0 convention.
 """
 from __future__ import annotations
 
@@ -12,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix2
+from .density import eigenvalues_hermitian2
 from .errors import ContractViolationError, NumericalDomainError
 
-HERMITICITY_TOL = 1e-10
 #: Eigenvalues in [-CLAMP_TOL, 0) are treated as quadrature roundoff and
 #: clamped to 0; anything more negative is a reduction bug and fails loudly.
 CLAMP_TOL = 1e-10
@@ -27,30 +25,6 @@ class EntropyReport:
 
     eigenvalues: tuple[float, float]
     entropy_bits: float
-
-
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, DensityMatrix2):
-        return m.entries
-    out = np.asarray(m, dtype=np.complex128)
-    if out.shape != (2, 2):
-        raise ContractViolationError(f"expected a 2x2 matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise NumericalDomainError("matrix entries must be finite")
-    return out
-
-
-def eigenvalues_hermitian2(m) -> tuple[float, float]:
-    """Eigenvalues of a Hermitian 2x2 matrix, descending.
-
-    Accepts a DensityMatrix2 or any 2x2 array Hermitian to 1e-10.
-    """
-    mat = _as_matrix(m)
-    if np.max(np.abs(mat - np.conj(mat.T))) > HERMITICITY_TOL:
-        raise ContractViolationError("matrix is not Hermitian within tolerance")
-    mean = 0.5 * (mat[0, 0].real + mat[1, 1].real)
-    radius = np.hypot(0.5 * (mat[0, 0].real - mat[1, 1].real), abs(mat[0, 1]))
-    return float(mean + radius), float(mean - radius)
 
 
 def von_neumann_entropy(m) -> EntropyReport:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix2
+from .density import DensityMatrix2, accumulate_outer
 from .entropy import von_neumann_entropy
 from .errors import ConfigurationError, NumericalDomainError
 from .states import OneParticleState
@@ -108,6 +108,11 @@ def _sample_tile(state: OneParticleState, seed: int, tile_index: int, count: int
     return p, theta, phi
 
 
+def _tile_moments(values: np.ndarray) -> np.ndarray:
+    """Sum and sum of squared moduli of one matrix entry over a tile."""
+    return np.array([np.sum(values), np.sum(np.abs(values) ** 2)])
+
+
 def mc_density(
     state: OneParticleState,
     target_basis: Basis,
@@ -165,12 +170,9 @@ def mc_density(
                     else helicity_components_to_spin
                 )
                 up, down = transform(up, down, theta, phi)
-            comps = (up, down)
-            for a in range(2):
-                for b in range(2):
-                    prod = comps[a] * np.conj(comps[b])
-                    sums[t, a, b] = np.sum(prod)
-                    sq_sums[t, a, b] = np.sum(np.abs(prod) ** 2)
+            moments = accumulate_outer(_tile_moments, up, down)
+            sums[t] = moments[..., 0]
+            sq_sums[t] = moments[..., 1].real
 
     total = sums.sum(axis=0)
     total_sq = sq_sums.sum(axis=0)

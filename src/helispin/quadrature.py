@@ -6,9 +6,12 @@ uniform midpoint nodes in phi with weight 2*pi/n_phi. Gauss-Legendre nodes
 are strictly interior, so the poles cos(theta) = +-1 (where the azimuth of
 the frame rotation is conventional) and p = 0 are never sampled.
 
-Summation uses numpy's pairwise reduction in a fixed node order, so results
-are reproducible run to run; large grids are processed in fixed-size blocks
-to bound memory without changing the block structure (and hence the bits).
+Every weighted sum over the grid has one order, written once here: azimuth
+first, then polar, then radial, each axis with numpy's pairwise summation.
+Mesh sums run one radial slab (as many radial rows as fit in BLOCK_NODES
+nodes, at least one) at a time and add slab partials in slab order, so
+temporaries stay bounded and the slab layout, which depends only on the grid
+shape, fixes the bits run to run.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ DEFAULT_N_PHI = 32
 #: width; the Gaussian tail beyond 8*tau carries < 1e-27 of the norm.
 R_MAX_WIDTHS = 8.0
 
-#: Nodes per evaluation block when streaming instead of materializing a grid.
+#: Node budget of one radial slab in mesh sums and ``integrate``.
 BLOCK_NODES = 1 << 20
 
 
@@ -147,35 +150,35 @@ class QuadratureGrid:
         for start in range(0, self.n_r, rows):
             yield slice(start, min(start + rows, self.n_r))
 
-    @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened (p, theta, phi, measure) with measure = w_r*w_t*w_p*p^2.
+    def angular_sum(self, values: np.ndarray) -> np.ndarray:
+        """Weighted sum over the trailing (theta, phi) axes, azimuth first.
 
-        Node order is radial-major, then polar, then azimuthal; fixed once
-        and for all so reductions are reproducible.
+        ``values`` broadcasts against (n_theta, n_phi); leading axes are kept.
         """
-        p, u, phi = np.meshgrid(
-            self.radial_nodes, self.polar_cosines, self.azimuthal_nodes, indexing="ij"
-        )
-        w = (
-            self.radial_weights[:, None, None]
-            * self.polar_weights[None, :, None]
-            * self.azimuthal_weights[None, None, :]
-        )
-        measure = w * self.radial_nodes[:, None, None] ** 2
-        return (
-            p.reshape(-1),
-            np.arccos(u.reshape(-1)),
-            phi.reshape(-1),
-            measure.reshape(-1),
-        )
+        s_phi = (values * self.azimuthal_weights).sum(axis=-1)
+        return (s_phi * self.polar_weights).sum(axis=-1)
 
-    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield (p, theta, phi, measure) slices of at most BLOCK_NODES nodes."""
-        p, theta, phi, measure = self._flat
-        for start in range(0, p.size, BLOCK_NODES):
-            sl = slice(start, start + BLOCK_NODES)
-            yield p[sl], theta[sl], phi[sl], measure[sl]
+    def product_sum(self, radial: np.ndarray, angular: np.ndarray) -> np.ndarray:
+        """Weighted sum of a separable integrand radial(p) * angular(theta, phi):
+        the radial sum times the angular sum."""
+        return (self.radial_measure * radial).sum() * self.angular_sum(angular)
+
+    def mesh_sum(self, values) -> np.ndarray:
+        """Weighted sum over the mesh, one radial slab at a time.
+
+        ``values`` is an array broadcastable to ``mesh_shape``, or a function
+        of a radial slab (a slice) returning the values on those rows. Each
+        slab is summed over the angles, then over its radial rows; slab
+        partials are added in slab order.
+        """
+        total = 0.0
+        for slab in self.radial_slabs():
+            if callable(values):
+                rows = values(slab)
+            else:
+                rows = np.broadcast_to(values, self.mesh_shape)[slab]
+            total += (self.angular_sum(rows) * self.radial_measure[slab]).sum()
+        return total
 
 
 def build_grid(
@@ -230,21 +233,26 @@ ScalarField = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 def integrate(grid: QuadratureGrid, f: ScalarField) -> complex:
     """Integrate f over momentum space: sum of w_r*w_theta*w_phi*p^2*f(node).
 
-    ``f`` receives flat (p, theta, phi) arrays and must return a same-length
-    array (a scalar constant is broadcast). Linear in f by construction.
+    ``f`` receives flat (p, theta, phi) arrays of one radial slab, in node
+    order radial-major, then polar, then azimuthal, and must return a
+    same-length array (a scalar constant is broadcast). Linear in f by
+    construction.
     """
-    total = 0.0 + 0.0j
-    offset = 0
-    for p, theta, phi, measure in grid.blocks():
-        values = np.asarray(f(p, theta, phi))
-        values = np.broadcast_to(values, p.shape)
+
+    def on_slab(slab: slice) -> np.ndarray:
+        shape = (slab.stop - slab.start, grid.n_theta, grid.n_phi)
+        p, theta, phi = (
+            np.broadcast_to(axis, shape).reshape(-1)
+            for axis in (grid.p_mesh[slab], grid.theta_mesh, grid.phi_mesh)
+        )
+        values = np.broadcast_to(np.asarray(f(p, theta, phi)), p.shape)
         bad = ~np.isfinite(values)
         if np.any(bad):
             i = int(np.argmax(bad))
             raise NumericalDomainError(
-                f"integrand is not finite at node {offset + i} "
+                f"integrand is not finite at node {slab.start * shape[1] * shape[2] + i} "
                 f"(p={p[i]:.6g}, theta={theta[i]:.6g}, phi={phi[i]:.6g})"
             )
-        total += complex(np.sum(measure * values))
-        offset += p.size
-    return total
+        return values.reshape(shape)
+
+    return complex(grid.mesh_sum(on_slab))

@@ -171,18 +171,10 @@ def norm_squared(state: OneParticleState, grid: QuadratureGrid) -> float:
     if state.product is not None:
         radial = radial_values(state.product, grid)
         ang_up, ang_down = angular_values(state.product, grid)
-        r_sum = float(np.sum(grid.radial_measure * np.abs(radial) ** 2))
         density = np.abs(ang_up) ** 2 + np.abs(ang_down) ** 2
-        a_sum = float(((density * grid.azimuthal_weights).sum(axis=1) * grid.polar_weights).sum())
-        return r_sum * a_sum
+        return float(grid.product_sum(np.abs(radial) ** 2, density))
     up, down = state.components_on(grid)
-    density = np.broadcast_to(np.abs(up) ** 2 + np.abs(down) ** 2, grid.mesh_shape)
-    total = 0.0
-    for slab in grid.radial_slabs():
-        s_phi = (density[slab] * grid.azimuthal_weights).sum(axis=2)
-        s_theta = (s_phi * grid.polar_weights).sum(axis=1)
-        total += float((s_theta * grid.radial_measure[slab]).sum())
-    return total
+    return float(grid.mesh_sum(np.abs(up) ** 2 + np.abs(down) ** 2))
 
 
 def _assemble(

@@ -228,13 +228,23 @@ def test_convergence_doubling_below_1e10():
 
 def test_mesh_and_product_paths_agree(small_grid):
     """The separable fast path and the generic mesh path compute the same
-    reduction."""
-    product_state = hs.normalize(hs.anisotropic_spin_up(1.0, 0.8), small_grid)
-    stripped = OneParticleState(
-        basis=product_state.basis,
-        amplitude=product_state.amplitude,
-        label="no product tag",
-    )
-    fast = hs.reduced_helicity_density(product_state, small_grid).entries
-    generic = hs.reduced_helicity_density(stripped, small_grid).entries
-    np.testing.assert_allclose(fast, generic, atol=1e-13)
+    reduction, on one radial slab and on two; integrating |psi|^2 node by
+    node gives the mesh path's norm."""
+    two_slabs = hs.build_grid(80, 512, 32)
+    assert len(list(two_slabs.radial_slabs())) == 2
+    for grid in (small_grid, two_slabs):
+        product_state = hs.normalize(hs.anisotropic_spin_up(1.0, 0.8), grid)
+        stripped = OneParticleState(
+            basis=product_state.basis,
+            amplitude=product_state.amplitude,
+            label="no product tag",
+        )
+        fast = hs.reduced_helicity_density(product_state, grid).entries
+        generic = hs.reduced_helicity_density(stripped, grid).entries
+        np.testing.assert_allclose(fast, generic, atol=1e-13)
+
+        def density(p, theta, phi):
+            up, down = stripped.amplitude(p, theta, phi)
+            return np.abs(up) ** 2 + np.abs(down) ** 2
+
+        assert abs(hs.integrate(grid, density) - hs.norm_squared(stripped, grid)) <= 1e-14

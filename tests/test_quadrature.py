@@ -108,15 +108,23 @@ def test_invalid_configuration_rejected(kwargs):
 
 
 def test_non_finite_integrand_identifies_node():
-    grid = build_grid(4, 4, 4, r_max=1.0)
+    """The error names the global flat node index, also past the first
+    radial slab of a large grid."""
+    first_slab = 64 * 512 * 32
+    for grid, node in ((build_grid(4, 4, 4, r_max=1.0), 3),
+                       (build_grid(80, 512, 32), first_slab + 3)):
+        seen = 0
 
-    def bad(p, t, f):
-        out = np.ones_like(p)
-        out[3] = np.nan
-        return out
+        def bad(p, t, f):
+            nonlocal seen
+            out = np.ones_like(p)
+            if seen <= node < seen + p.size:
+                out[node - seen] = np.nan
+            seen += p.size
+            return out
 
-    with pytest.raises(NumericalDomainError, match="node 3"):
-        integrate(grid, bad)
+        with pytest.raises(NumericalDomainError, match=f"node {node} "):
+            integrate(grid, bad)
 
 
 def test_refine_doubles_counts():
