@@ -234,8 +234,10 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
         _expect(q in OUTPUT_QUANTITIES, f"{where}.outputs[{i}]",
                 f"unknown quantity {q!r}; expected one of {list(OUTPUT_QUANTITIES)}")
 
+    check_nodes = tree.get("checks") or []
+    _expect(isinstance(check_nodes, list), f"{where}.checks", "must be a list")
     checks = []
-    for i, node in enumerate(tree.get("checks", []) or []):
+    for i, node in enumerate(check_nodes):
         cw = f"{where}.checks[{i}]"
         _expect(isinstance(node, dict), cw, "must be an object")
         _expect(set(node) <= {"quantity", "reference", "tol"}, cw,
@@ -359,7 +361,9 @@ def build_state(family: str, params: dict[str, Any]) -> OneParticleState:
             return theta_independent_spin_up(
                 profile, azimuthal_winding=winding, characteristic_width=width
             )
-    except TypeError as exc:  # wrong keyword set for the family constructor
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:  # wrong keyword set or parameter type
         raise ConfigurationError(f"bad parameters for family {family!r}: {exc}") from exc
     raise ConfigurationError(f"unknown state family {family!r}")
 
@@ -682,6 +686,8 @@ def load_input(path_or_name: str) -> dict:
             return json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ScenarioParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        except UnicodeDecodeError as exc:
+            raise ScenarioParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     name = path_or_name.removesuffix(".json")
     bundled = bundled_scenarios()
     if name in bundled:

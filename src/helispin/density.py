@@ -52,12 +52,10 @@ class DensityMatrix2:
             raise NumericalDomainError("density matrix entries must be finite")
         if self.basis not in (SPIN, HELICITY):
             raise ConfigurationError(f"unknown basis tag {self.basis!r}")
-        if np.max(np.abs(m - np.conj(m.T))) > HERMITICITY_TOL:
-            raise ContractViolationError("density matrix is not Hermitian")
+        hi, lo = eigenvalues_hermitian2(m)  # checks Hermiticity
         tr = m[0, 0].real + m[1, 1].real
         if abs(tr - 1.0) > TRACE_TOL or abs(m[0, 0].imag + m[1, 1].imag) > TRACE_TOL:
             raise ContractViolationError(f"density matrix trace is {tr!r}, not 1")
-        hi, lo = eigenvalues_hermitian2(m)
         if lo < -EIGENVALUE_TOL or hi > 1.0 + EIGENVALUE_TOL:
             raise ContractViolationError(
                 f"eigenvalues ({hi}, {lo}) outside [0, 1] beyond tolerance"

@@ -94,15 +94,13 @@ def _sample_tile(state: OneParticleState, seed: int, tile_index: int, count: int
     sigma = sampler.tau / np.sqrt(2.0)
     p = sigma * np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
 
-    if sampler.angular == "isotropic" or abs(sampler.alpha) < 1e-12:
+    if abs(sampler.alpha) < 1e-12:
         cos_t = 2.0 * u[:, 4] - 1.0
-    elif sampler.angular == "linear_cos":
+    else:
         # invert CDF((1 + alpha*v)/2 on [-1, 1]) in closed form
         a = sampler.alpha
         cos_t = (-1.0 + np.sqrt(1.0 + a * (4.0 * u[:, 4] - 2.0) + a * a)) / a
         cos_t = np.clip(cos_t, -1.0, 1.0)
-    else:
-        raise ConfigurationError(f"unknown angular sampler {sampler.angular!r}")
     theta = np.arccos(cos_t)
     phi = 2.0 * np.pi * u[:, 5]
     return p, theta, phi

@@ -12,6 +12,9 @@ Mesh sums run one radial slab (as many radial rows as fit in BLOCK_NODES
 nodes, at least one) at a time and add slab partials in slab order, so
 temporaries stay bounded and the slab layout, which depends only on the grid
 shape, fixes the bits run to run.
+
+Functions of momentum (amplitudes, integrands) are evaluated on the broadcast
+mesh axes; each evaluation passes one check, ``QuadratureGrid._checked_mesh``.
 """
 from __future__ import annotations
 
@@ -150,6 +153,29 @@ class QuadratureGrid:
         for start in range(0, self.n_r, rows):
             yield slice(start, min(start + rows, self.n_r))
 
+    def _checked_mesh(self, values, what: str, rows: slice = slice(None)) -> np.ndarray:
+        """``values`` evaluated on the radial ``rows`` of the mesh, as given,
+        once they broadcast to those rows and are finite; otherwise an error
+        naming the first bad node by global flat index and (p, theta, phi)."""
+        start, stop, _ = rows.indices(self.n_r)
+        shape = (stop - start, self.n_theta, self.n_phi)
+        values = np.asarray(values)
+        try:
+            bad = np.broadcast_to(~np.isfinite(values), shape)
+        except ValueError:
+            raise ConfigurationError(
+                f"{what} of shape {values.shape} does not broadcast to the mesh {shape}"
+            ) from None
+        if not np.any(bad):
+            return values
+        i = int(np.argmax(bad))
+        r, t, k = np.unravel_index(i, shape)
+        raise NumericalDomainError(
+            f"{what} is not finite at node {start * shape[1] * shape[2] + i} (p="
+            f"{self.radial_nodes[start + r]:.6g}, theta={self.theta_mesh[0, t, 0]:.6g}, "
+            f"phi={self.azimuthal_nodes[k]:.6g})"
+        )
+
     def angular_sum(self, values: np.ndarray) -> np.ndarray:
         """Weighted sum over the trailing (theta, phi) axes, azimuth first.
 
@@ -233,26 +259,14 @@ ScalarField = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 def integrate(grid: QuadratureGrid, f: ScalarField) -> complex:
     """Integrate f over momentum space: sum of w_r*w_theta*w_phi*p^2*f(node).
 
-    ``f`` receives flat (p, theta, phi) arrays of one radial slab, in node
-    order radial-major, then polar, then azimuthal, and must return a
-    same-length array (a scalar constant is broadcast). Linear in f by
-    construction.
+    ``f`` is called like an amplitude, on ``grid.p_mesh[slab]``,
+    ``grid.theta_mesh`` and ``grid.phi_mesh`` for each radial slab, and returns
+    values that broadcast to that slab's mesh (a scalar constant will do).
+    Linear in f by construction.
     """
 
     def on_slab(slab: slice) -> np.ndarray:
-        shape = (slab.stop - slab.start, grid.n_theta, grid.n_phi)
-        p, theta, phi = (
-            np.broadcast_to(axis, shape).reshape(-1)
-            for axis in (grid.p_mesh[slab], grid.theta_mesh, grid.phi_mesh)
-        )
-        values = np.broadcast_to(np.asarray(f(p, theta, phi)), p.shape)
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise NumericalDomainError(
-                f"integrand is not finite at node {slab.start * shape[1] * shape[2] + i} "
-                f"(p={p[i]:.6g}, theta={theta[i]:.6g}, phi={phi[i]:.6g})"
-            )
-        return values.reshape(shape)
+        values = f(grid.p_mesh[slab], grid.theta_mesh, grid.phi_mesh)
+        return grid._checked_mesh(values, "integrand", slab)
 
     return complex(grid.mesh_sum(on_slab))

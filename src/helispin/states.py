@@ -5,8 +5,9 @@ A state is an immutable description: a basis tag plus a pure evaluator from
 written with elementwise numpy operations so they accept broadcastable
 inputs: grids evaluate them on mesh axes shaped (n_r, 1, 1), (1, n_theta, 1)
 and (1, 1, n_phi), which keeps separable families (every built-in one) cheap
-on large grids. Mesh evaluations are cached per (state, grid) pair through a
-weak mapping, capped by array size.
+on large grids. Mesh evaluations are checked by the grid and cached per
+(state, grid) pair through a weak mapping, capped by array size;
+``normalize`` hands its cached evaluation on to the normalized state.
 
 Built-in families:
 
@@ -54,13 +55,11 @@ AmplitudeFn = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, n
 class MomentumSampler:
     """Importance-sampling description of a family's momentum density.
 
-    ``tau`` is the Gaussian radial width; the angular density is uniform for
-    ``angular='isotropic'`` and proportional to 1 + alpha*cos(theta) for
-    ``angular='linear_cos'``.
+    ``tau`` is the Gaussian radial width; the angular density is proportional
+    to 1 + alpha*cos(theta), uniform for alpha = 0.
     """
 
     tau: float
-    angular: str = "isotropic"
     alpha: float = 0.0
 
 
@@ -120,23 +119,14 @@ class OneParticleState:
         if cached is not None:
             return cached
         up, down = self.amplitude(grid.p_mesh, grid.theta_mesh, grid.phi_mesh)
-        up = np.atleast_3d(np.asarray(up, dtype=np.complex128))
-        down = np.atleast_3d(np.asarray(down, dtype=np.complex128))
-        for arr, name in ((up, "up"), (down, "down")):
-            try:
-                np.broadcast_shapes(arr.shape, grid.mesh_shape)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{name} amplitude of shape {arr.shape} does not broadcast "
-                    f"to the grid mesh {grid.mesh_shape}"
-                )
-            bad = ~np.isfinite(arr)
-            if np.any(bad):
-                idx = np.unravel_index(int(np.argmax(bad)), arr.shape)
-                raise NumericalDomainError(
-                    f"{name} amplitude is not finite at mesh index {idx} "
-                    f"(radial, polar, azimuthal)"
-                )
+        return self._store_components(grid, up, down)
+
+    def _store_components(self, grid: QuadratureGrid, up, down):
+        """Check (up, down) on the grid's mesh and cache them if small enough."""
+        up, down = (
+            grid._checked_mesh(np.asarray(arr, dtype=np.complex128), f"{name} amplitude")
+            for arr, name in ((up, "up"), (down, "down"))
+        )
         if up.size <= SAMPLE_CACHE_MAX_SIZE and down.size <= SAMPLE_CACHE_MAX_SIZE:
             self._mesh_cache[grid] = (up, down)
         return up, down
@@ -226,13 +216,18 @@ def normalize(state: OneParticleState, grid: QuadratureGrid) -> OneParticleState
             down, dtype=np.complex128
         )
 
-    return OneParticleState(
+    normalized = OneParticleState(
         basis=state.basis,
         amplitude=scaled,
         label=state.label,
         family_params=state.family_params,
         sampler=state.sampler,
     )
+    # reuse the norm pass's mesh evaluation instead of evaluating again
+    cached = state._mesh_cache.get(grid)
+    if cached is not None:
+        normalized._store_components(grid, scale * cached[0], scale * cached[1])
+    return normalized
 
 
 def with_basis(state: OneParticleState, basis: Basis) -> OneParticleState:
@@ -379,7 +374,7 @@ def anisotropic_spin_up(tau: float, alpha: float) -> OneParticleState:
             "alpha": a,
             "characteristic_width": float(tau),
         },
-        sampler=MomentumSampler(tau=float(tau), angular="linear_cos", alpha=a),
+        sampler=MomentumSampler(tau=float(tau), alpha=a),
     )
 
 

@@ -72,6 +72,10 @@ def test_invalid_json_exit_2(tmp_path, capsys):
     path.write_text('{"schema_version": 1,,}', encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert "line" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    assert main(["run", str(latin1)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_schema_violations_exit_2(tmp_path):
@@ -95,6 +99,22 @@ def test_schema_violations_exit_2(tmp_path):
         "outputs": ["spin_density"],
     }
     assert main(["run", str(_write(tmp_path, "bad3.json", wrong_version))]) == 2
+    checks_not_a_list = {
+        "schema_version": 1,
+        "name": "x",
+        "state": {"family": "gaussian_spin_up", "params": {"tau": 1.0}},
+        "outputs": ["spin_density"],
+        "checks": 5,
+    }
+    assert main(["run", str(_write(tmp_path, "bad4.json", checks_not_a_list))]) == 2
+    for i, params in enumerate(({"tau": "wide"}, {"winding": "two"})):
+        bad_param = {
+            "schema_version": 1,
+            "name": "x",
+            "state": {"family": "theta_independent_spin_up", "params": params},
+            "outputs": ["spin_density"],
+        }
+        assert main(["run", str(_write(tmp_path, f"bad{5 + i}.json", bad_param))]) == 2
 
 
 def test_check_failure_exit_1(tmp_path, capsys):

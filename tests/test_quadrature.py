@@ -113,18 +113,20 @@ def test_non_finite_integrand_identifies_node():
     first_slab = 64 * 512 * 32
     for grid, node in ((build_grid(4, 4, 4, r_max=1.0), 3),
                        (build_grid(80, 512, 32), first_slab + 3)):
-        seen = 0
+        r, t, k = np.unravel_index(node, grid.mesh_shape)
+        at = (grid.radial_nodes[r], grid.theta_mesh[0, t, 0], grid.azimuthal_nodes[k])
 
         def bad(p, t, f):
-            nonlocal seen
-            out = np.ones_like(p)
-            if seen <= node < seen + p.size:
-                out[node - seen] = np.nan
-            seen += p.size
-            return out
+            return np.where((p == at[0]) & (t == at[1]) & (f == at[2]), np.nan, 1.0)
 
         with pytest.raises(NumericalDomainError, match=f"node {node} "):
             integrate(grid, bad)
+
+
+def test_integrand_shape_mismatch_rejected():
+    grid = build_grid(4, 4, 4, r_max=1.0)
+    with pytest.raises(ConfigurationError, match="does not broadcast"):
+        integrate(grid, lambda p, t, f: np.ones(3))
 
 
 def test_refine_doubles_counts():

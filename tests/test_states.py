@@ -191,6 +191,21 @@ def test_components_cache_reused(small_grid):
     first = state.components_on(small_grid)
     second = state.components_on(small_grid)
     assert first[0] is second[0] and first[1] is second[1]
+    # a state without a product form: normalize's norm pass is the only
+    # mesh evaluation; the normalized state reuses it
+    calls = []
+
+    def amp(p, theta, phi):
+        calls.append(1)
+        return 2.0 * np.exp(-(p**2) / 2.0) * np.cos(theta / 2.0), np.sin(phi) * np.exp(-p)
+
+    normalized = hs.normalize(OneParticleState(basis=hs.SPIN, amplitude=amp), small_grid)
+    assert len(calls) == 1
+    up, down = normalized.components_on(small_grid)
+    assert len(calls) == 1
+    fresh = OneParticleState(basis=hs.SPIN, amplitude=normalized.amplitude)
+    np.testing.assert_array_equal(up, fresh.components_on(small_grid)[0])
+    np.testing.assert_array_equal(down, fresh.components_on(small_grid)[1])
 
 
 def test_non_finite_amplitude_reported(small_grid):
