@@ -46,6 +46,7 @@ from .quadrature import (
     R_MAX_WIDTHS,
     QuadratureGrid,
     build_grid,
+    refine,
 )
 from .states import (
     OneParticleState,
@@ -412,11 +413,9 @@ def execute_scenario(
     out = ScenarioResult(scenario=scenario, grid=grid_spec, results=results)
 
     if compute_convergence:
+        refined_grid = refine(grid)
         refined_spec = GridSpec(
-            grid_spec.n_r * 2, grid_spec.n_theta * 2, grid_spec.n_phi * 2, grid_spec.r_max
-        )
-        refined_grid = build_grid(
-            refined_spec.n_r, refined_spec.n_theta, refined_spec.n_phi, refined_spec.r_max
+            refined_grid.n_r, refined_grid.n_theta, refined_grid.n_phi, refined_grid.r_max
         )
         refined = _compute_quantities(state, refined_grid, scenario.outputs)
         delta = 0.0
@@ -678,16 +677,25 @@ def bundled_scenarios() -> dict[str, dict]:
     return out
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
+def _read_json(path: Path) -> Any:
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ScenarioParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+
+
 def load_input(path_or_name: str) -> dict:
     """Load a scenario/sweep tree from a file path or a bundled name."""
     path = Path(path_or_name)
     if path.exists():
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ScenarioParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-        except UnicodeDecodeError as exc:
-            raise ScenarioParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+        return _read_json(path)
     name = path_or_name.removesuffix(".json")
     bundled = bundled_scenarios()
     if name in bundled:
@@ -706,13 +714,18 @@ def emit_plotdata(source: Path, out_dir: Path) -> list[Path]:
     """Emit (x, y) series CSV files from a sweep table or a report."""
     written: list[Path] = []
     if source.suffix == ".csv":
-        lines = source.read_text(encoding="utf-8").splitlines()
+        lines = _read_text(source).splitlines()
         if not lines:
             raise ScenarioParseError(f"{source}: empty table")
         header = lines[0].split(",")
         if len(header) < 3 or header[-1] != "status":
             raise ScenarioParseError(f"{source}: not a sweep table")
         data = [line.split(",") for line in lines[1:] if line]
+        for n, cells in enumerate(data, start=2):
+            if len(cells) != len(header):
+                raise ScenarioParseError(
+                    f"{source}: line {n} has {len(cells)} cells, the header {len(header)}"
+                )
         for col in range(1, len(header) - 1):
             rows = [["x", "y"]]
             for cells in data:
@@ -722,14 +735,17 @@ def emit_plotdata(source: Path, out_dir: Path) -> list[Path]:
             write_csv(rows, target)
             written.append(target)
         return written
-    tree = json.loads(source.read_text(encoding="utf-8"))
-    results = tree.get("results")
+    tree = _read_json(source)
+    results = tree.get("results") if isinstance(tree, dict) else None
     if not isinstance(results, dict):
         raise ScenarioParseError(f"{source}: not a scenario report")
     for key in sorted(results):
         if not key.endswith("_entropy"):
             continue
-        rows = [["x", "y"], ["0", _format_float(results[key]["entropy_bits"])]]
+        bits = results[key].get("entropy_bits") if isinstance(results[key], dict) else None
+        if not isinstance(bits, (int, float)) or isinstance(bits, bool):
+            raise ScenarioParseError(f"{source}: results.{key}.entropy_bits must be a number")
+        rows = [["x", "y"], ["0", _format_float(bits)]]
         target = out_dir / f"{source.stem}__{_sanitize(key)}.csv"
         write_csv(rows, target)
         written.append(target)

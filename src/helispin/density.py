@@ -137,7 +137,7 @@ def _reduce(state: OneParticleState, grid: QuadratureGrid, target: Basis) -> Den
     if state.product is not None:
         radial = np.abs(states_mod.radial_values(state.product, grid)) ** 2
         up, down = states_mod.angular_values(state.product, grid)
-        theta, phi = grid.theta_col, grid.phi_row
+        theta, phi = grid.theta_mesh[0], grid.phi_mesh[0]
         measure = partial(grid.product_sum, radial)
     else:
         up, down = state.components_on(grid)

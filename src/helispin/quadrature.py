@@ -1,10 +1,11 @@
 """Deterministic spherical quadrature over momentum space.
 
-Realizes the flat measure d^3p = p^2 dp dcos(theta) dphi as a tensor-product
-rule: Gauss-Legendre nodes in p on (0, r_max) and in cos(theta) on (-1, 1),
-uniform midpoint nodes in phi with weight 2*pi/n_phi. Gauss-Legendre nodes
-are strictly interior, so the poles cos(theta) = +-1 (where the azimuth of
-the frame rotation is conventional) and p = 0 are never sampled.
+Realizes the flat measure d^3p = p^2 dp sin(theta) dtheta dphi as a
+tensor-product rule: Gauss-Legendre nodes in p on (0, r_max) and in theta on
+(0, pi) with weights scaled by sin(theta), uniform midpoint nodes in phi with
+weight 2*pi/n_phi. Gauss-Legendre nodes are strictly interior, so the poles
+theta = 0, pi (where the azimuth of the frame rotation is conventional) and
+p = 0 are never sampled.
 
 Every weighted sum over the grid has one order, written once here: azimuth
 first, then polar, then radial, each axis with numpy's pairwise summation.
@@ -26,12 +27,12 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalDomainError
 
-#: Default rule sizes. The polar count is driven by the slowest-converging
-#: integrand in scope, sqrt(1-u^2) against Gauss-Legendre in u = cos(theta),
-#: whose error scales ~0.77*n^-3: n_theta=512 puts the helicity off-diagonal
-#: error at 1.5e-9, comfortably below the 1e-8 tolerances used throughout.
+#: Default rule sizes. Every angular integrand in scope is analytic in theta
+#: (products of sin and cos), so the polar rule converges geometrically: the
+#: helicity off-diagonal -pi/8, the slowest of them, is off by 3e-11 at
+#: n_theta=8 and at roundoff from n_theta=12 on; 32 leaves a factor of two.
 DEFAULT_N_R = 64
-DEFAULT_N_THETA = 512
+DEFAULT_N_THETA = 32
 DEFAULT_N_PHI = 32
 
 #: Truncation radius as a multiple of a state's characteristic momentum
@@ -69,7 +70,7 @@ class QuadratureGrid:
 
     radial_nodes: np.ndarray
     radial_weights: np.ndarray
-    polar_cosines: np.ndarray
+    polar_angles: np.ndarray
     polar_weights: np.ndarray
     azimuthal_nodes: np.ndarray
     azimuthal_weights: np.ndarray
@@ -85,8 +86,8 @@ class QuadratureGrid:
                 raise ConfigurationError(f"{name} weights must be strictly positive")
         if not np.all((self.radial_nodes > 0.0) & (self.radial_nodes < self.r_max)):
             raise ConfigurationError("radial nodes must lie strictly inside (0, r_max)")
-        if not np.all(np.abs(self.polar_cosines) < 1.0):
-            raise ConfigurationError("polar nodes must lie strictly inside (-1, 1)")
+        if not np.all((self.polar_angles > 0.0) & (self.polar_angles < np.pi)):
+            raise ConfigurationError("polar nodes must lie strictly inside (0, pi)")
         if abs(self.azimuthal_weights.sum() - 2.0 * np.pi) > 1e-12:
             raise ConfigurationError("azimuthal weights must sum to 2*pi")
         if abs(self.polar_weights.sum() - 2.0) > 1e-12:
@@ -98,7 +99,7 @@ class QuadratureGrid:
 
     @property
     def n_theta(self) -> int:
-        return self.polar_cosines.size
+        return self.polar_angles.size
 
     @property
     def n_phi(self) -> int:
@@ -120,7 +121,7 @@ class QuadratureGrid:
     @cached_property
     def theta_mesh(self) -> np.ndarray:
         """Polar angles shaped (1, n_theta, 1)."""
-        return np.arccos(self.polar_cosines)[None, :, None]
+        return self.polar_angles[None, :, None]
 
     @cached_property
     def phi_mesh(self) -> np.ndarray:
@@ -131,16 +132,6 @@ class QuadratureGrid:
     def radial_measure(self) -> np.ndarray:
         """w_r * p^2, the radial factor of the volume measure."""
         return self.radial_weights * self.radial_nodes**2
-
-    @cached_property
-    def theta_col(self) -> np.ndarray:
-        """Polar angles shaped (n_theta, 1), for angular-only evaluation."""
-        return np.arccos(self.polar_cosines)[:, None]
-
-    @cached_property
-    def phi_row(self) -> np.ndarray:
-        """Azimuthal nodes shaped (1, n_phi), for angular-only evaluation."""
-        return self.azimuthal_nodes[None, :]
 
     def radial_slabs(self) -> Iterator[slice]:
         """Radial index ranges sized so a slab holds <= BLOCK_NODES nodes.
@@ -216,8 +207,11 @@ def build_grid(
     """Build the tensor-product rule.
 
     Exact (up to roundoff) for integrands polynomial in p up to degree
-    2*n_r-1, polynomial in cos(theta) up to degree 2*n_theta-1, and
-    trigonometric in phi up to degree n_phi-1.
+    2*n_r-1 and trigonometric in phi up to degree n_phi-1. In theta the
+    weights are Gauss-Legendre weights on (0, pi) times sin(theta), rescaled
+    to sum to 2, so constants are exact and integrands analytic in theta (any
+    polynomial in cos(theta) and sin(theta)) converge geometrically in
+    n_theta.
     """
     for n, name in ((n_r, "n_r"), (n_theta, "n_theta"), (n_phi, "n_phi")):
         if not isinstance(n, (int, np.integer)) or n < 2:
@@ -229,8 +223,10 @@ def build_grid(
     radial_nodes = 0.5 * r_max * (x + 1.0)
     radial_weights = 0.5 * r_max * w
 
-    u, wu = np.polynomial.legendre.leggauss(int(n_theta))
-    # ascending cosine order; leggauss already returns interior nodes
+    t, wt = np.polynomial.legendre.leggauss(int(n_theta))
+    theta = 0.5 * np.pi * (t + 1.0)
+    wtheta = wt * np.sin(theta)
+    wtheta *= 2.0 / wtheta.sum()
 
     phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
     wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
@@ -238,8 +234,8 @@ def build_grid(
     return QuadratureGrid(
         radial_nodes=radial_nodes,
         radial_weights=radial_weights,
-        polar_cosines=u,
-        polar_weights=wu,
+        polar_angles=theta,
+        polar_weights=wtheta,
         azimuthal_nodes=phi,
         azimuthal_weights=wphi,
         r_max=float(r_max),

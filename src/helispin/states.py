@@ -148,7 +148,7 @@ def angular_values(
     shape = (grid.n_theta, grid.n_phi)
     out = []
     for fn, name in ((product.angular_up, "up"), (product.angular_down, "down")):
-        vals = np.asarray(fn(grid.theta_col, grid.phi_row), dtype=np.complex128)
+        vals = np.asarray(fn(grid.theta_mesh[0], grid.phi_mesh[0]), dtype=np.complex128)
         vals = np.broadcast_to(vals, shape)
         if not np.all(np.isfinite(vals)):
             raise NumericalDomainError(f"angular {name} factor is not finite on the grid")

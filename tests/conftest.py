@@ -10,7 +10,8 @@ from helispin.states import OneParticleState
 
 @pytest.fixture(scope="session")
 def small_grid() -> hs.QuadratureGrid:
-    """Coarse but angularly exact grid for bulk property tests."""
+    """Coarse grid for bulk property tests; its 48 polar nodes put the
+    low-order angular integrands in scope at roundoff."""
     return hs.build_grid(24, 48, 16, r_max=8.0)
 
 

@@ -199,10 +199,13 @@ def test_alpha_sweep_varies_and_hits_closed_form(tmp_path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     entropy = [float(r[1]) for r in rows]
-    top_left = [float(r[2]) for r in rows]
-    # alpha = 0 reproduces the isotropic entropy; alpha = 1 the 2/3 entry
+    # alpha = 0 reproduces the isotropic entropy; every row the closed form
+    # [[1/2 + alpha/6, -pi/8], [-pi/8, 1/2 - alpha/6]] (2/3 at alpha = 1)
     assert abs(entropy[0] - hs.oracle_spin_up_helicity_entropy()) <= 1e-7
-    assert abs(top_left[-1] - 2.0 / 3.0) <= 1e-8
+    for r in rows:
+        alpha, top_left, off_diagonal = float(r[0]), float(r[2]), float(r[3])
+        assert abs(top_left - (0.5 + alpha / 6.0)) <= 1e-8
+        assert abs(off_diagonal + PI8) <= 1e-8
     # anisotropy lowers the helicity entropy monotonically on this family
     assert all(a > b for a, b in zip(entropy, entropy[1:]))
     assert header[-1] == "status"
@@ -295,6 +298,16 @@ def test_plotdata_unwritable_exit_4(tmp_path):
 
 def test_plotdata_missing_source_exit_2(tmp_path):
     assert main(["plotdata", str(tmp_path / "nope.csv")]) == 2
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{", encoding="utf-8")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("alpha,caf\u00e9,status\n".encode("latin-1"))
+    bad_entropy = _write(tmp_path, "bad_entropy.json", {"results": {"spin_entropy": 3}})
+    not_object = _write(tmp_path, "not_object.json", [1])
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text("alpha,helicity_entropy,status\nok\n", encoding="utf-8")
+    for source in (not_json, latin1, bad_entropy, not_object, short_row):
+        assert main(["plotdata", str(source), "--out", str(tmp_path / "series")]) == 2
 
 
 def test_mc_requires_density_output(tmp_path):

@@ -215,10 +215,10 @@ def test_density_matrix_validation():
         DensityMatrix2(np.array([[1.5, 0.0], [0.0, -0.5]]), hs.SPIN)  # not PSD
 
 
-def test_convergence_doubling_below_1e10():
-    """At a converged polar count, doubling the whole grid moves no entry of
-    the Gaussian-family reduction by more than 1e-10."""
-    base = hs.build_grid(64, 2048, 32, r_max=8.0)
+def test_convergence_doubling_below_1e10(default_grid):
+    """At the default grid, doubling the whole grid moves no entry of the
+    Gaussian-family reduction by more than 1e-10."""
+    base = default_grid
     doubled = hs.refine(base)
     state = hs.gaussian_spin_up(1.0)
     rho_base = hs.reduced_helicity_density(hs.normalize(state, base), base).entries
