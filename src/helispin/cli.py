@@ -1,9 +1,10 @@
 """Declarative scenario runner.
 
 Scenario and sweep inputs are JSON trees with a ``schema_version`` field;
-reports are JSON emitted by a deterministic writer (sorted keys, floats
-rendered with 17 significant digits, complex numbers as [re, im] pairs, LF
-endings, no timestamps), so identical inputs produce byte-identical reports.
+reports are JSON emitted by a deterministic writer (sorted keys, each float
+as the shortest text that reads back to the same double, complex numbers as
+[re, im] pairs, LF endings, no timestamps), so identical inputs produce
+byte-identical reports.
 Sweep tables and plot series are CSV with a header row.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 input error, 3 numerical
@@ -84,10 +85,9 @@ class GridSpec:
     n_phi: int = DEFAULT_N_PHI
     r_max: float | None = None  # None: 8x the state's characteristic width
 
-    def resolve(self, state: OneParticleState) -> tuple["GridSpec", QuadratureGrid]:
+    def resolve(self, state: OneParticleState) -> QuadratureGrid:
         r_max = self.r_max if self.r_max is not None else R_MAX_WIDTHS * state.characteristic_width
-        spec = GridSpec(self.n_r, self.n_theta, self.n_phi, float(r_max))
-        return spec, build_grid(spec.n_r, spec.n_theta, spec.n_phi, spec.r_max)
+        return build_grid(self.n_r, self.n_theta, self.n_phi, float(r_max))
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class SweepSpec:
     name: str
     scenario: dict[str, Any]
     parameter_path: str
-    values: tuple[float, ...]
+    values: tuple[int | float, ...]
     outputs: tuple[str, ...]
 
 
@@ -135,7 +135,7 @@ class CheckResult:
 @dataclass
 class ScenarioResult:
     scenario: Scenario
-    grid: GridSpec
+    grid: QuadratureGrid
     results: dict[str, Any] = field(default_factory=dict)
     convergence: dict[str, Any] | None = None
     checks: list[CheckResult] = field(default_factory=list)
@@ -158,29 +158,35 @@ def _expect(cond: bool, where: str, message: str) -> None:
         raise ScenarioParseError(f"{where}: {message}")
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer; a JSON bool is not one, though Python's bool is an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x: Any) -> bool:
+    """A JSON number; a JSON bool is not one, though Python's bool is an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _known_fields(node: dict, keys: set[str], where: str) -> None:
+    _expect(set(node) <= keys, where, f"unknown fields {sorted(set(node) - keys)}")
+
+
 def _parse_grid(node: Any, where: str) -> GridSpec:
     if node is None:
         return GridSpec()
     _expect(isinstance(node, dict), where, "grid must be an object")
-    known = {"n_r", "n_theta", "n_phi", "r_max"}
-    _expect(set(node) <= known, where, f"unknown grid fields {sorted(set(node) - known)}")
+    _known_fields(node, {"n_r", "n_theta", "n_phi", "r_max"}, where)
     counts = {}
     for key in ("n_r", "n_theta", "n_phi"):
         if key in node:
-            _expect(isinstance(node[key], int) and not isinstance(node[key], bool),
-                    f"{where}.{key}", "must be an integer")
+            _expect(_is_int(node[key]), f"{where}.{key}", "must be an integer")
             counts[key] = node[key]
     r_max = node.get("r_max")
     if r_max is not None:
-        _expect(isinstance(r_max, (int, float)) and not isinstance(r_max, bool),
-                f"{where}.r_max", "must be a number")
+        _expect(_is_number(r_max), f"{where}.r_max", "must be a number")
         r_max = float(r_max)
-    return GridSpec(
-        n_r=counts.get("n_r", DEFAULT_N_R),
-        n_theta=counts.get("n_theta", DEFAULT_N_THETA),
-        n_phi=counts.get("n_phi", DEFAULT_N_PHI),
-        r_max=r_max,
-    )
+    return GridSpec(**counts, r_max=r_max)
 
 
 def _parse_reference(node: Any, quantity: str, where: str) -> Any:
@@ -188,8 +194,7 @@ def _parse_reference(node: Any, quantity: str, where: str) -> Any:
         _expect(node in ORACLES, where, f"unknown oracle reference {node!r}")
         return node
     if quantity.endswith("_entropy"):
-        _expect(isinstance(node, (int, float)) and not isinstance(node, bool),
-                where, "entropy reference must be a number or oracle name")
+        _expect(_is_number(node), where, "entropy reference must be a number or oracle name")
         return float(node)
     _expect(isinstance(node, list) and len(node) == 2, where,
             "density reference must be a 2x2 matrix or oracle name")
@@ -197,10 +202,9 @@ def _parse_reference(node: Any, quantity: str, where: str) -> Any:
     for i, row in enumerate(node):
         _expect(isinstance(row, list) and len(row) == 2, f"{where}[{i}]", "must be a 2-element row")
         for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+            if _is_number(entry):
                 matrix[i, j] = float(entry)
-            elif (isinstance(entry, list) and len(entry) == 2
-                  and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)):
+            elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
                 matrix[i, j] = complex(entry[0], entry[1])
             else:
                 raise ScenarioParseError(
@@ -213,8 +217,8 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
     _expect(isinstance(tree, dict), where, "scenario must be an object")
     _expect(tree.get("schema_version") == SCHEMA_VERSION, f"{where}.schema_version",
             f"must be {SCHEMA_VERSION}")
-    known = {"schema_version", "name", "state", "grid", "outputs", "checks", "mc"}
-    _expect(set(tree) <= known, where, f"unknown fields {sorted(set(tree) - known)}")
+    _known_fields(tree, {"schema_version", "name", "state", "grid", "outputs", "checks", "mc"},
+                  where)
 
     name = tree.get("name")
     _expect(isinstance(name, str) and bool(name), f"{where}.name", "must be a non-empty string")
@@ -225,8 +229,10 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
     _expect(isinstance(family, str), f"{where}.state.family", "must be a string")
     params = state_node.get("params", {})
     _expect(isinstance(params, dict), f"{where}.state.params", "must be an object")
-    _expect(set(state_node) <= {"family", "params"}, f"{where}.state",
-            f"unknown fields {sorted(set(state_node) - {'family', 'params'})}")
+    for key, value in params.items():
+        _expect(_is_number(value) or isinstance(value, str), f"{where}.state.params.{key}",
+                "must be a number or a string")
+    _known_fields(state_node, {"family", "params"}, f"{where}.state")
 
     outputs = tree.get("outputs")
     _expect(isinstance(outputs, list) and outputs, f"{where}.outputs",
@@ -235,20 +241,19 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
         _expect(q in OUTPUT_QUANTITIES, f"{where}.outputs[{i}]",
                 f"unknown quantity {q!r}; expected one of {list(OUTPUT_QUANTITIES)}")
 
-    check_nodes = tree.get("checks") or []
-    _expect(isinstance(check_nodes, list), f"{where}.checks", "must be a list")
+    check_nodes = tree.get("checks")
+    _expect(check_nodes is None or isinstance(check_nodes, list), f"{where}.checks",
+            "must be a list")
     checks = []
-    for i, node in enumerate(check_nodes):
+    for i, node in enumerate(check_nodes or []):
         cw = f"{where}.checks[{i}]"
         _expect(isinstance(node, dict), cw, "must be an object")
-        _expect(set(node) <= {"quantity", "reference", "tol"}, cw,
-                f"unknown fields {sorted(set(node) - {'quantity', 'reference', 'tol'})}")
+        _known_fields(node, {"quantity", "reference", "tol"}, cw)
         quantity = node.get("quantity")
         _expect(quantity in OUTPUT_QUANTITIES, f"{cw}.quantity",
                 f"unknown quantity {quantity!r}")
         tol = node.get("tol")
-        _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0,
-                f"{cw}.tol", "must be a positive number")
+        _expect(_is_number(tol) and tol > 0, f"{cw}.tol", "must be a positive number")
         reference = _parse_reference(node.get("reference"), quantity, f"{cw}.reference")
         checks.append(CheckSpec(quantity=quantity, reference=reference, tol=float(tol)))
 
@@ -257,14 +262,11 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
         node = tree["mc"]
         mw = f"{where}.mc"
         _expect(isinstance(node, dict), mw, "must be an object")
-        _expect(set(node) <= {"n_samples", "seed"}, mw,
-                f"unknown fields {sorted(set(node) - {'n_samples', 'seed'})}")
+        _known_fields(node, {"n_samples", "seed"}, mw)
         n = node.get("n_samples")
         seed = node.get("seed")
-        _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 100,
-                f"{mw}.n_samples", "must be an integer >= 100")
-        _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-                f"{mw}.seed", "must be a non-negative integer")
+        _expect(_is_int(n) and n >= 100, f"{mw}.n_samples", "must be an integer >= 100")
+        _expect(_is_int(seed) and seed >= 0, f"{mw}.seed", "must be a non-negative integer")
         _expect(any(q.endswith("_density") for q in outputs), mw,
                 "mc requires at least one density output")
         mc = McSpec(n_samples=n, seed=seed)
@@ -284,8 +286,7 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
     _expect(isinstance(tree, dict), where, "sweep must be an object")
     _expect(tree.get("schema_version") == SCHEMA_VERSION, f"{where}.schema_version",
             f"must be {SCHEMA_VERSION}")
-    known = {"schema_version", "name", "scenario", "parameter", "outputs"}
-    _expect(set(tree) <= known, where, f"unknown fields {sorted(set(tree) - known)}")
+    _known_fields(tree, {"schema_version", "name", "scenario", "parameter", "outputs"}, where)
     name = tree.get("name")
     _expect(isinstance(name, str) and bool(name), f"{where}.name", "must be a non-empty string")
     scenario = tree.get("scenario")
@@ -294,8 +295,7 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
 
     parameter = tree.get("parameter")
     _expect(isinstance(parameter, dict), f"{where}.parameter", "must be an object")
-    _expect(set(parameter) <= {"path", "values"}, f"{where}.parameter",
-            "must have fields 'path' and 'values'")
+    _known_fields(parameter, {"path", "values"}, f"{where}.parameter")
     path = parameter.get("path")
     _expect(isinstance(path, str) and bool(path), f"{where}.parameter.path",
             "must be a non-empty string")
@@ -310,8 +310,7 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
     _expect(isinstance(values, list) and values, f"{where}.parameter.values",
             "must be a non-empty list")
     for i, v in enumerate(values):
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-                f"{where}.parameter.values[{i}]", "must be a number")
+        _expect(_is_number(v), f"{where}.parameter.values[{i}]", "must be a number")
 
     outputs = tree.get("outputs")
     _expect(isinstance(outputs, list) and outputs, f"{where}.outputs",
@@ -324,7 +323,7 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
         name=name,
         scenario=scenario,
         parameter_path=path,
-        values=tuple(float(v) for v in values),
+        values=tuple(values),
         outputs=tuple(outputs),
     )
 
@@ -390,17 +389,12 @@ def _compute_quantities(
 
 
 def _deviation(quantity: str, computed: Any, reference: Any) -> float:
+    if isinstance(reference, str):
+        reference = ORACLES[reference]()
     if quantity.endswith("_entropy"):
-        ref = float(reference)
-        return abs(computed.entropy_bits - ref)
+        return abs(computed.entropy_bits - float(reference))
     ref = reference.entries if isinstance(reference, DensityMatrix2) else np.asarray(reference)
     return float(np.max(np.abs(computed.entries - ref)))
-
-
-def _resolve_reference(reference: Any) -> Any:
-    if isinstance(reference, str):
-        return ORACLES[reference]()
-    return reference
 
 
 def execute_scenario(
@@ -408,15 +402,12 @@ def execute_scenario(
 ) -> ScenarioResult:
     """Run one scenario: build, normalize, reduce, check."""
     state = build_state(scenario.family, scenario.params)
-    grid_spec, grid = scenario.grid.resolve(state)
+    grid = scenario.grid.resolve(state)
     results = _compute_quantities(state, grid, scenario.outputs)
-    out = ScenarioResult(scenario=scenario, grid=grid_spec, results=results)
+    out = ScenarioResult(scenario=scenario, grid=grid, results=results)
 
     if compute_convergence:
         refined_grid = refine(grid)
-        refined_spec = GridSpec(
-            refined_grid.n_r, refined_grid.n_theta, refined_grid.n_phi, refined_grid.r_max
-        )
         refined = _compute_quantities(state, refined_grid, scenario.outputs)
         delta = 0.0
         for key, value in results.items():
@@ -424,11 +415,10 @@ def execute_scenario(
                 delta = max(delta, float(np.max(np.abs(value.entries - refined[key].entries))))
             else:
                 delta = max(delta, abs(value.entropy_bits - refined[key].entropy_bits))
-        out.convergence = {"refined_grid": refined_spec, "max_delta": delta}
+        out.convergence = {"refined_grid": refined_grid, "max_delta": delta}
 
     for check in scenario.checks:
-        reference = _resolve_reference(check.reference)
-        deviation = _deviation(check.quantity, results[check.quantity], reference)
+        deviation = _deviation(check.quantity, results[check.quantity], check.reference)
         out.checks.append(
             CheckResult(
                 quantity=check.quantity,
@@ -506,15 +496,11 @@ def execute_sweep(sweep: SweepSpec) -> list[list[str]]:
 
 
 def _set_path(tree: dict, path: str, value: Any) -> None:
-    keys = path.split(".")
-    node = tree
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ScenarioParseError(f"parameter path {path!r} not found in scenario")
-        node = node[key]
-    if not isinstance(node, dict):
-        raise ScenarioParseError(f"parameter path {path!r} does not address an object field")
-    node[keys[-1]] = value
+    """Set a dotted path, which parse_sweep checked against the base scenario."""
+    *parents, leaf = path.split(".")
+    for key in parents:
+        tree = tree[key]
+    tree[leaf] = value
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +508,8 @@ def _set_path(tree: dict, path: str, value: Any) -> None:
 # ---------------------------------------------------------------------------
 
 def _format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+    """The shortest text that reads back to the same double, as in reports."""
+    return repr(float(x))
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -533,13 +520,8 @@ def _matrix_tree(m: np.ndarray) -> list[list[list[float]]]:
     return [[_complex_pair(complex(m[i, j])) for j in range(2)] for i in range(2)]
 
 
-def _grid_tree(spec: GridSpec) -> dict[str, Any]:
-    return {
-        "n_r": spec.n_r,
-        "n_theta": spec.n_theta,
-        "n_phi": spec.n_phi,
-        "r_max": spec.r_max,
-    }
+def _grid_tree(grid: QuadratureGrid) -> dict[str, Any]:
+    return {"n_r": grid.n_r, "n_theta": grid.n_theta, "n_phi": grid.n_phi, "r_max": grid.r_max}
 
 
 def _reference_tree(reference: Any) -> Any:
@@ -598,9 +580,7 @@ def report_tree(result: ScenarioResult) -> dict[str, Any]:
             "estimates": {
                 key: {
                     "value": _matrix_tree(block["value"]),
-                    "std_error": [
-                        [float(block["std_error"][i, j]) for j in range(2)] for i in range(2)
-                    ],
+                    "std_error": block["std_error"].tolist(),
                     "max_sigma_distance": block["max_sigma_distance"],
                     "within_bound": block["within_bound"],
                 }
@@ -611,52 +591,11 @@ def report_tree(result: ScenarioResult) -> dict[str, Any]:
 
 
 def dumps_deterministic(tree: Any) -> str:
-    """JSON with sorted keys and %.17g floats; byte-stable across runs."""
-    pieces: list[str] = []
-    _emit(tree, pieces, 0)
-    return "".join(pieces) + "\n"
-
-
-def _emit(node: Any, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(node, dict):
-        if not node:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(node)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise ConfigurationError("report keys must be strings")
-            out.append(f"{inner}{json.dumps(key)}: ")
-            _emit(node[key], out, indent + 1)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(node, (list, tuple)):
-        if not node:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(node):
-            out.append(inner)
-            _emit(item, out, indent + 1)
-            out.append(",\n" if i < len(node) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(node, bool):
-        out.append("true" if node else "false")
-    elif isinstance(node, (int, np.integer)):
-        out.append(str(int(node)))
-    elif isinstance(node, (float, np.floating)):
-        if not np.isfinite(node):
-            raise ConfigurationError(f"cannot serialize non-finite float {node}")
-        out.append(_format_float(float(node)))
-    elif isinstance(node, str):
-        out.append(json.dumps(node))
-    elif node is None:
-        out.append("null")
-    else:
-        raise ConfigurationError(f"cannot serialize value of type {type(node).__name__}")
+    """JSON with sorted keys and shortest round-trip floats; byte-stable across runs."""
+    try:
+        return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:  # a non-finite float or a non-JSON value
+        raise ConfigurationError(f"cannot serialize report: {exc}") from exc
 
 
 def write_csv(rows: list[list[str]], path: Path) -> None:
@@ -697,12 +636,12 @@ def load_input(path_or_name: str) -> dict:
     if path.exists():
         return _read_json(path)
     name = path_or_name.removesuffix(".json")
-    bundled = bundled_scenarios()
-    if name in bundled:
-        return bundled[name]
+    entry = resources.files("helispin") / "scenarios" / f"{name}.json"
+    if Path(name).name == name and entry.is_file():  # a bare name, not a path into the package
+        return json.loads(entry.read_text(encoding="utf-8"))
     raise ScenarioParseError(
         f"{path_or_name!r} is neither an existing file nor a bundled scenario "
-        f"(bundled: {', '.join(sorted(bundled))})"
+        f"(bundled: {', '.join(sorted(bundled_scenarios()))})"
     )
 
 
@@ -762,40 +701,29 @@ def _sanitize(name: str) -> str:
 # Command-line front end
 # ---------------------------------------------------------------------------
 
-def _parse_grid_option(text: str) -> GridSpec:
+def _option_tree(text: str, keys: tuple[str, ...], flag: str) -> dict[str, Any]:
+    """A comma-separated override as the scenario field it replaces, one JSON value a key."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ScenarioParseError("--grid expects n_r,n_theta,n_phi,r_max")
+    if len(parts) != len(keys):
+        raise ScenarioParseError(f"{flag} expects {','.join(keys)}")
     try:
-        return GridSpec(int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
-    except ValueError as exc:
-        raise ScenarioParseError(f"--grid: {exc}")
-
-
-def _parse_mc_option(text: str) -> McSpec:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ScenarioParseError("--mc expects n_samples,seed")
-    try:
-        return McSpec(n_samples=int(parts[0]), seed=int(parts[1]))
-    except ValueError as exc:
-        raise ScenarioParseError(f"--mc: {exc}")
+        return dict(zip(keys, map(json.loads, parts)))
+    except json.JSONDecodeError as exc:
+        raise ScenarioParseError(f"{flag}: {exc.doc!r} is not a JSON value")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     tree = load_input(args.scenario)
+    if isinstance(tree, dict):  # parse_scenario rejects any other tree
+        if args.grid is not None:
+            tree["grid"] = _option_tree(args.grid, ("n_r", "n_theta", "n_phi", "r_max"), "--grid")
+        if args.mc is not None:
+            tree["mc"] = _option_tree(args.mc, ("n_samples", "seed"), "--mc")
     scenario = parse_scenario(tree)
-    if args.grid is not None:
-        scenario = replace(scenario, grid=_parse_grid_option(args.grid))
-    if args.mc is not None:
-        mc = _parse_mc_option(args.mc)
-        if not any(q.endswith("_density") for q in scenario.outputs):
-            raise ScenarioParseError("--mc requires a density output in the scenario")
-        scenario = replace(scenario, mc=mc)
     result = execute_scenario(scenario)
     text = dumps_deterministic(report_tree(result))
     out_path = Path(args.out) if args.out else Path(f"{scenario.name}.report.json")
-    _write_text(out_path, text)
+    out_path.write_text(text, encoding="utf-8", newline="\n")
     for check in result.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"check {check.quantity}: deviation {_format_float(check.deviation)} "
@@ -838,10 +766,6 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     for path in emit_plotdata(source, out_dir):
         print(f"series: {path}")
     return 0
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def make_parser() -> argparse.ArgumentParser:

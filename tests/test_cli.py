@@ -12,7 +12,7 @@ from helispin.cli import (
     parse_scenario,
     parse_sweep,
 )
-from helispin.errors import ScenarioParseError
+from helispin.errors import ConfigurationError, ScenarioParseError
 
 PI8 = np.pi / 8.0
 
@@ -115,6 +115,13 @@ def test_schema_violations_exit_2(tmp_path):
             "outputs": ["spin_density"],
         }
         assert main(["run", str(_write(tmp_path, f"bad{5 + i}.json", bad_param))]) == 2
+    # "no checks" is an absent field, not a falsy value; a JSON bool is not a number
+    eq11 = bundled_scenarios()["eq11_entropy"]
+    for i, checks in enumerate(({}, False, 0, "")):
+        falsy_checks = {**eq11, "checks": checks}
+        assert main(["run", str(_write(tmp_path, f"checks{i}.json", falsy_checks))]) == 2
+    bool_tau = {**eq11, "state": {"family": "gaussian_spin_up", "params": {"tau": True}}}
+    assert main(["run", str(_write(tmp_path, "bool_tau.json", bool_tau))]) == 2
 
 
 def test_check_failure_exit_1(tmp_path, capsys):
@@ -167,6 +174,11 @@ def test_grid_and_mc_overrides(tmp_path):
     assert report["mc"]["n_samples"] == 20000
     assert report["mc"]["seed"] == 99
     assert report["mc"]["estimates"]["helicity_density"]["within_bound"] is True
+    # the flags are scenario fields and pass the same schema checks
+    for grid in ("2.5,32,32,8.0", "32,32,32", "32,32,32,x", "true,32,32,8.0"):
+        assert main(["run", "eq10_theta_independent", "--grid", grid]) == 2
+    for mc in ("20000", "20000,-1", "20000,1.5"):
+        assert main(["run", "eq10_theta_independent", "--mc", mc]) == 2
 
 
 def test_run_scenario_by_explicit_path(tmp_path):
@@ -246,6 +258,13 @@ def test_sweep_records_point_errors(tmp_path):
     assert lines[1].endswith(",ok")
     assert lines[2].endswith("error:ConfigurationError")
     assert lines[2].split(",")[1] == ""  # failed point has empty cells
+    # values are set as given, so a sweep over an integer grid field runs
+    sweep["scenario"]["grid"] = {"n_theta": 32}
+    sweep["parameter"] = {"path": "grid.n_theta", "values": [8, 16, 32]}
+    path = _write(tmp_path, "n_theta.json", sweep)
+    assert main(["sweep", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4 and all(line.endswith(",ok") for line in lines[1:])
 
 
 def test_list_scenarios(capsys):
@@ -317,6 +336,12 @@ def test_mc_requires_density_output(tmp_path):
 def test_deterministic_writer_formats():
     text = dumps_deterministic({"b": 0.5, "a": [1, True, None, "x"], "c": {}})
     assert text == '{\n  "a": [\n    1,\n    true,\n    null,\n    "x"\n  ],\n  "b": 0.5,\n  "c": {}\n}\n'
+    # every finite float reads back bit for bit, the sign of zero included
+    for x in (0.1, 1e-07, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3):
+        assert float.hex(json.loads(dumps_deterministic([x]))[0]) == float.hex(x)
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            dumps_deterministic({"x": x})
 
 
 def test_parse_selector_validation(tmp_path):
