@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .density import (
     DensityMatrix2,
-    density_from_samples,
     reduced_helicity_density,
     reduced_spin_density,
 )
@@ -33,7 +32,6 @@ from .oracles import (
 )
 from .quadrature import Momentum, QuadratureGrid, build_grid, integrate, refine
 from .states import (
-    MomentumSampler,
     OneParticleState,
     anisotropic_spin_up,
     gaussian_helicity_up,
@@ -64,7 +62,6 @@ __all__ = [
     "HELICITY",
     "McEstimate",
     "Momentum",
-    "MomentumSampler",
     "NumericalDomainError",
     "OneParticleState",
     "QuadratureGrid",
@@ -72,7 +69,6 @@ __all__ = [
     "ScenarioParseError",
     "anisotropic_spin_up",
     "build_grid",
-    "density_from_samples",
     "eigenvalues_hermitian2",
     "gaussian_helicity_up",
     "gaussian_spin_up",

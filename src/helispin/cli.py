@@ -446,6 +446,7 @@ def execute_scenario(
             estimates[quantity] = {
                 "value": estimate.value,
                 "std_error": estimate.std_error,
+                "effective_sample_size": estimate.ess,
                 "max_sigma_distance": max_sigma,
                 "within_bound": bool(max_sigma <= MC_SIGMA_BOUND),
             }
@@ -581,6 +582,7 @@ def report_tree(result: ScenarioResult) -> dict[str, Any]:
                 key: {
                     "value": _matrix_tree(block["value"]),
                     "std_error": block["std_error"].tolist(),
+                    "effective_sample_size": block["effective_sample_size"],
                     "max_sigma_distance": block["max_sigma_distance"],
                     "within_bound": block["within_bound"],
                 }

@@ -112,24 +112,6 @@ def accumulate_outer(measure, up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return out
 
 
-def density_from_samples(
-    measure: np.ndarray, up: np.ndarray, down: np.ndarray, basis: Basis
-) -> DensityMatrix2:
-    """Shared accumulation kernel applied to per-node weights and amplitudes.
-
-    The weights are expected to already include the p^2 factor of the measure
-    and to describe a normalized ensemble (unit total probability).
-    """
-    measure = np.asarray(measure, dtype=np.float64)
-    for arr, name in ((measure, "weights"), (up, "up"), (down, "down")):
-        bad = ~np.isfinite(arr)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise NumericalDomainError(f"non-finite {name} sample at node {i}")
-    raw = accumulate_outer(measure, np.asarray(up), np.asarray(down))
-    return DensityMatrix2(entries=raw, basis=basis)
-
-
 def _reduce(state: OneParticleState, grid: QuadratureGrid, target: Basis) -> DensityMatrix2:
     """Reduce on the grid. Radially separable states take the product path:
     the radial sum factors out of every entry, leaving small angular sums.

@@ -216,8 +216,8 @@ def build_grid(
     for n, name in ((n_r, "n_r"), (n_theta, "n_theta"), (n_phi, "n_phi")):
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise ConfigurationError(f"{name} must be an integer >= 2, got {n!r}")
-    if not (r_max > 0.0):
-        raise ConfigurationError(f"r_max must be positive, got {r_max}")
+    if not (0.0 < r_max < np.inf):
+        raise ConfigurationError(f"r_max must be positive and finite, got {r_max}")
 
     x, w = np.polynomial.legendre.leggauss(int(n_r))
     radial_nodes = 0.5 * r_max * (x + 1.0)

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    ContractViolationError,
     DegenerateInputError,
     NumericalDomainError,
 )
@@ -49,18 +48,6 @@ from .su2 import (
 SAMPLE_CACHE_MAX_SIZE = 1 << 21
 
 AmplitudeFn = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class MomentumSampler:
-    """Importance-sampling description of a family's momentum density.
-
-    ``tau`` is the Gaussian radial width; the angular density is proportional
-    to 1 + alpha*cos(theta), uniform for alpha = 0.
-    """
-
-    tau: float
-    alpha: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +71,6 @@ class OneParticleState:
     amplitude: AmplitudeFn
     label: str = ""
     family_params: Mapping[str, float] = field(default_factory=dict)
-    sampler: MomentumSampler | None = None
     product: ProductForm | None = None
     _mesh_cache: "weakref.WeakKeyDictionary" = field(
         default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
@@ -172,7 +158,6 @@ def _assemble(
     product: ProductForm,
     label: str,
     family_params: Mapping[str, float],
-    sampler: MomentumSampler | None,
 ) -> OneParticleState:
     """State whose evaluator is built from (and stays consistent with) a
     product form."""
@@ -189,7 +174,6 @@ def _assemble(
         amplitude=amp,
         label=label,
         family_params=family_params,
-        sampler=sampler,
         product=product,
     )
 
@@ -207,7 +191,7 @@ def normalize(state: OneParticleState, grid: QuadratureGrid) -> OneParticleState
             angular_up=state.product.angular_up,
             angular_down=state.product.angular_down,
         )
-        return _assemble(state.basis, product, state.label, state.family_params, state.sampler)
+        return _assemble(state.basis, product, state.label, state.family_params)
     inner = state.amplitude
 
     def scaled(p, theta, phi):
@@ -221,7 +205,6 @@ def normalize(state: OneParticleState, grid: QuadratureGrid) -> OneParticleState
         amplitude=scaled,
         label=state.label,
         family_params=state.family_params,
-        sampler=state.sampler,
     )
     # reuse the norm pass's mesh evaluation instead of evaluating again
     cached = state._mesh_cache.get(grid)
@@ -254,7 +237,7 @@ def with_basis(state: OneParticleState, basis: Basis) -> OneParticleState:
             return transform(pf.angular_up(theta, phi), pf.angular_down(theta, phi), theta, phi)[1]
 
         product = ProductForm(radial=pf.radial, angular_up=ang_up, angular_down=ang_down)
-        return _assemble(basis, product, state.label, state.family_params, state.sampler)
+        return _assemble(basis, product, state.label, state.family_params)
     inner = state.amplitude
 
     def converted(p, theta, phi):
@@ -266,7 +249,6 @@ def with_basis(state: OneParticleState, basis: Basis) -> OneParticleState:
         amplitude=converted,
         label=state.label,
         family_params=state.family_params,
-        sampler=state.sampler,
     )
 
 
@@ -296,7 +278,6 @@ def gaussian_spin_up(tau: float) -> OneParticleState:
         product=ProductForm(_gaussian_radial(tau), _unit_angular, _zero_angular),
         label=f"gaussian_spin_up(tau={tau:g})",
         family_params={"tau": float(tau), "characteristic_width": float(tau)},
-        sampler=MomentumSampler(tau=float(tau)),
     )
 
 
@@ -309,7 +290,6 @@ def gaussian_helicity_up(tau: float) -> OneParticleState:
         product=ProductForm(_gaussian_radial(tau), _unit_angular, _zero_angular),
         label=f"gaussian_helicity_up(tau={tau:g})",
         family_params={"tau": float(tau), "characteristic_width": float(tau)},
-        sampler=MomentumSampler(tau=float(tau)),
     )
 
 
@@ -319,7 +299,7 @@ def theta_independent_spin_up(
     characteristic_width: float = 1.0,
 ) -> OneParticleState:
     """Spin-up state whose amplitude depends on direction only through an
-    optional winding phase exp(i*k*phi).
+    optional winding phase exp(i*k*phi), k an integer (2 and 2.0 alike).
 
     The profile need not be normalized; call :func:`normalize` before
     reducing. A profile that vanishes on the whole grid surfaces as a
@@ -329,7 +309,10 @@ def theta_independent_spin_up(
         raise ConfigurationError(
             f"characteristic_width must be positive, got {characteristic_width}"
         )
-    k = int(azimuthal_winding)
+    k = float(azimuthal_winding)
+    if not k.is_integer():
+        raise ConfigurationError(f"azimuthal_winding must be an integer, got {azimuthal_winding}")
+    k = int(k)
     if k != 0:
         def angular_up(theta, phi):
             return np.exp(1j * k * np.asarray(phi)) * _unit_angular(theta, phi)
@@ -344,7 +327,6 @@ def theta_independent_spin_up(
             "azimuthal_winding": float(k),
             "characteristic_width": float(characteristic_width),
         },
-        sampler=None,
     )
 
 
@@ -374,7 +356,6 @@ def anisotropic_spin_up(tau: float, alpha: float) -> OneParticleState:
             "alpha": a,
             "characteristic_width": float(tau),
         },
-        sampler=MomentumSampler(tau=float(tau), alpha=a),
     )
 
 
@@ -413,15 +394,3 @@ def _reject_extra(name: str, params: Mapping[str, float]) -> None:
         raise ConfigurationError(
             f"unexpected parameters for profile {name!r}: {sorted(params)}"
         )
-
-
-def require_normalized(
-    state: OneParticleState, grid: QuadratureGrid, tol: float = 1e-6
-) -> float:
-    """Return the grid norm, raising if it is further than ``tol`` from 1."""
-    n2 = norm_squared(state, grid)
-    if abs(n2 - 1.0) > tol:
-        raise ContractViolationError(
-            f"state must be normalized on the grid (squared norm {n2:.6g})"
-        )
-    return n2

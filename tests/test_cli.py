@@ -107,7 +107,7 @@ def test_schema_violations_exit_2(tmp_path):
         "checks": 5,
     }
     assert main(["run", str(_write(tmp_path, "bad4.json", checks_not_a_list))]) == 2
-    for i, params in enumerate(({"tau": "wide"}, {"winding": "two"})):
+    for i, params in enumerate(({"tau": "wide"}, {"winding": "two"}, {"winding": 1.5})):
         bad_param = {
             "schema_version": 1,
             "name": "x",
@@ -179,6 +179,20 @@ def test_grid_and_mc_overrides(tmp_path):
         assert main(["run", "eq10_theta_independent", "--grid", grid]) == 2
     for mc in ("20000", "20000,-1", "20000,1.5"):
         assert main(["run", "eq10_theta_independent", "--mc", mc]) == 2
+    # every family has a Monte-Carlo cross-check, with its effective sample size
+    tree = {
+        "schema_version": 1,
+        "name": "shell",
+        "state": {
+            "family": "theta_independent_spin_up",
+            "params": {"profile": "shell", "winding": 2.0},
+        },
+        "outputs": ["helicity_density"],
+    }
+    path = _write(tmp_path, "shell.json", tree)
+    assert main(["run", str(path), "--out", str(out), "--mc", "20000,99"]) == 0
+    block = json.loads(out.read_text())["mc"]["estimates"]["helicity_density"]
+    assert 0.0 < block["effective_sample_size"] <= 20000
 
 
 def test_run_scenario_by_explicit_path(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import helispin as hs
-from helispin.density import DensityMatrix2, accumulate_outer, density_from_samples
-from helispin.errors import ContractViolationError, NumericalDomainError
+from helispin.density import DensityMatrix2, accumulate_outer
+from helispin.errors import ContractViolationError
 from helispin.states import OneParticleState
 
 from conftest import random_state
@@ -105,19 +105,18 @@ def test_anisotropic_alpha_one_closed_form(default_grid):
 
 
 def test_kernel_single_node():
-    rho = density_from_samples([1.0], np.array([1.0 + 0j]), np.array([0.0j]), hs.SPIN)
-    np.testing.assert_array_equal(rho.entries, np.array([[1, 0], [0, 0]], dtype=complex))
+    rho = accumulate_outer(np.array([1.0]), np.array([1.0 + 0j]), np.array([0.0j]))
+    np.testing.assert_array_equal(rho, np.array([[1, 0], [0, 0]], dtype=complex))
 
 
 def test_kernel_classical_mixture():
     inv = 1.0 / np.sqrt(2.0)
-    rho = density_from_samples(
-        [1.0, 1.0],
+    rho = accumulate_outer(
+        np.array([1.0, 1.0]),
         np.array([inv, 0.0], dtype=complex),
         np.array([0.0, inv], dtype=complex),
-        hs.HELICITY,
     )
-    np.testing.assert_allclose(rho.entries, 0.5 * np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(rho, 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_kernel_matches_brute_force_summation():
@@ -126,7 +125,7 @@ def test_kernel_matches_brute_force_summation():
     up = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     down = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     weights = rng.uniform(0.1, 1.0, 5)
-    # scale so the ensemble is normalized, as the kernel contract expects
+    # scale so the ensemble is normalized
     total = sum(
         w * (abs(u) ** 2 + abs(d) ** 2) for w, u, d in zip(weights, up, down)
     )
@@ -139,8 +138,8 @@ def test_kernel_matches_brute_force_summation():
             for b in range(2):
                 brute[a, b] += w * comps[a] * np.conj(comps[b])
 
-    rho = density_from_samples(weights, up, down, hs.SPIN)
-    np.testing.assert_allclose(rho.entries, brute, atol=1e-14)
+    rho = accumulate_outer(weights, up, down)
+    np.testing.assert_allclose(rho, brute, atol=1e-14)
 
 
 def test_accumulation_asymmetry_tiny():
@@ -194,16 +193,6 @@ def test_unnormalized_state_rejected(default_grid):
     state = hs.theta_independent_spin_up(lambda p: np.exp(-p * p))  # not normalized
     with pytest.raises(ContractViolationError, match="normalized"):
         hs.reduced_helicity_density(state, default_grid)
-
-
-def test_kernel_rejects_non_finite():
-    with pytest.raises(NumericalDomainError, match="node 1"):
-        density_from_samples(
-            [0.5, 0.5],
-            np.array([1.0, np.nan], dtype=complex),
-            np.array([0.0, 0.0], dtype=complex),
-            hs.SPIN,
-        )
 
 
 def test_density_matrix_validation():

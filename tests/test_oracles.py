@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import helispin as hs
-from helispin.errors import ConfigurationError
+from helispin.errors import ConfigurationError, DegenerateInputError, NumericalDomainError
 from helispin.oracles import mc_density
+from helispin.states import OneParticleState
+
+from conftest import random_state
 
 PI8 = np.pi / 8.0
 
@@ -69,13 +72,32 @@ def test_mc_agrees_with_closed_form(state_fn, target, expected):
 
 
 def test_mc_agrees_with_quadrature_anisotropic():
-    state = hs.anisotropic_spin_up(1.0, 0.7)
-    grid = hs.build_grid(r_max=8.0)
-    quad = hs.reduced_helicity_density(hs.normalize(state, grid), grid).entries
-    estimate = mc_density(state, hs.HELICITY, 1_000_000, seed=424242)
-    gap = np.abs(estimate.value - quad)
-    sigma = np.where(estimate.std_error > 0, estimate.std_error, 1.0)
-    assert np.all(gap <= 4.0 * sigma)
+    """The one proposal serves every family, unnormalized and generic states
+    included: each estimate lands within 4 sigma of quadrature at the
+    state's own default grid."""
+    gaussian, linear_exp, shell = (
+        hs.radial_profile(name, **params)
+        for name, params in (("gaussian", {"tau": 2.0}), ("linear_exp", {}), ("shell", {}))
+    )
+    rng = np.random.default_rng(2026)
+    cases = [
+        (hs.anisotropic_spin_up(1.0, 0.7), hs.HELICITY, 1_000_000),
+        *(
+            (hs.theta_independent_spin_up(f, k, width), hs.HELICITY, 200_000)
+            for (f, width), k in ((gaussian, 0), (linear_exp, 0), (shell, 0), (gaussian, 2))
+        ),
+        (random_state(rng, hs.SPIN), hs.HELICITY, 200_000),
+        (random_state(rng, hs.HELICITY), hs.SPIN, 200_000),
+    ]
+    for state, target, n_samples in cases:
+        grid = hs.build_grid(r_max=8.0 * state.characteristic_width)
+        reduce = hs.reduced_helicity_density if target == hs.HELICITY else hs.reduced_spin_density
+        quad = reduce(hs.normalize(state, grid), grid).entries
+        estimate = mc_density(state, target, n_samples, seed=424242)
+        gap = np.abs(estimate.value - quad)
+        sigma = np.where(estimate.std_error > 0, estimate.std_error, 1.0)
+        assert np.all(gap <= 4.0 * sigma), state.label
+        assert 0.0 < estimate.ess <= n_samples, state.label
 
 
 def test_mc_estimate_fields():
@@ -84,6 +106,7 @@ def test_mc_estimate_fields():
     assert est.seed == 1
     assert est.value.shape == (2, 2)
     assert np.all(est.std_error >= 0.0)
+    assert 0.0 < est.ess <= est.n_samples
     # single-component spin state: exact projector with zero variance
     np.testing.assert_array_equal(est.value, np.array([[1, 0], [0, 0]], dtype=complex))
 
@@ -98,6 +121,12 @@ def test_mc_validation():
         mc_density(state, hs.HELICITY, 1000, seed=-1)
     with pytest.raises(ConfigurationError):
         mc_density(state, hs.HELICITY, 1000, seed=1, n_shards=0)
-    no_sampler = hs.theta_independent_spin_up(lambda p: np.exp(-p))
-    with pytest.raises(ConfigurationError, match="sampler"):
-        mc_density(no_sampler, hs.HELICITY, 1000, seed=1)
+    # a vanishing amplitude adds zero; only an everywhere-zero one is degenerate
+    zero = OneParticleState(basis=hs.SPIN, amplitude=lambda p, t, f: (0.0 * p, 0.0 * p))
+    with pytest.raises(DegenerateInputError):
+        mc_density(zero, hs.HELICITY, 1000, seed=1)
+    diverging = OneParticleState(
+        basis=hs.SPIN, amplitude=lambda p, t, f: (np.where(p < 1.0, np.nan, 1.0), 0.0)
+    )
+    with pytest.raises(NumericalDomainError):
+        mc_density(diverging, hs.HELICITY, 1000, seed=1)

@@ -99,12 +99,15 @@ def test_weight_sums_and_open_intervals():
         {"n_phi": 1},
         {"r_max": 0.0},
         {"r_max": -2.0},
+        {"r_max": float("inf")},
     ],
 )
 def test_invalid_configuration_rejected(kwargs):
     base = {"n_r": 8, "n_theta": 8, "n_phi": 8, "r_max": 1.0}
     base.update(kwargs)
-    with pytest.raises(ConfigurationError):
+    # the message names the input at fault, not a symptom further on
+    (name,) = kwargs
+    with pytest.raises(ConfigurationError, match=f"^{name} must"):
         build_grid(**base)
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helispin as hs
-from helispin.errors import ConfigurationError, ContractViolationError, DegenerateInputError
-from helispin.states import OneParticleState, radial_values, require_normalized
+from helispin.errors import ConfigurationError, DegenerateInputError
+from helispin.states import OneParticleState, radial_values
 
 from conftest import random_state
 
@@ -177,13 +177,6 @@ def test_radial_profile_registry():
         hs.radial_profile("shell", p_min=2.0, p_max=1.0)
     with pytest.raises(ConfigurationError):
         hs.radial_profile("gaussian", tau=1.0, bogus=3.0)
-
-
-def test_require_normalized(default_grid):
-    state = hs.theta_independent_spin_up(lambda p: np.exp(-p * p))
-    with pytest.raises(ContractViolationError):
-        require_normalized(state, default_grid)
-    require_normalized(hs.normalize(state, default_grid), default_grid)
 
 
 def test_components_cache_reused(small_grid):
