@@ -6,8 +6,9 @@ Usage: compare_outputs.py DIR_A DIR_B
 Reports (*.json) are compared as parsed trees and tables (*.csv) cell by cell.
 Every number is read as a float and compared with float.hex, so two texts of
 the same double ("0.5", "5e-1") agree and any other difference, the sign of
-zero included, does not. Each difference is printed; the exit code is 1 if
-there is any, else 0 (2 on a usage error).
+zero included, does not. Each difference is printed, and so is each file whose
+values agree but whose bytes differ; the exit code is 1 if there is any value
+difference, else 0 (2 on a usage error).
 """
 import json
 import sys
@@ -54,13 +55,18 @@ def _names(directory: Path) -> set[str]:
     return {p.name for p in directory.iterdir() if p.suffix in (".json", ".csv")}
 
 
-def compare(dir_a: Path, dir_b: Path) -> list[str]:
-    """Every difference between the reports and tables of two directories."""
+def compare(dir_a: Path, dir_b: Path) -> tuple[list[str], list[str]]:
+    """Every value difference between the reports and tables of two
+    directories, and the files whose values agree but whose bytes differ."""
     names_a, names_b = _names(dir_a), _names(dir_b)
     out = [f"{name}: present in only one directory" for name in sorted(names_a ^ names_b)]
+    bytes_only = []
     for name in sorted(names_a & names_b):
+        before = len(out)
         _diff_tree(_read(dir_a / name), _read(dir_b / name), name, out)
-    return out
+        if len(out) == before and (dir_a / name).read_bytes() != (dir_b / name).read_bytes():
+            bytes_only.append(f"{name}: same values, different bytes")
+    return out, bytes_only
 
 
 def main(argv: list[str]) -> int:
@@ -68,8 +74,8 @@ def main(argv: list[str]) -> int:
         print("usage: compare_outputs.py DIR_A DIR_B", file=sys.stderr)
         return 2
     dir_a, dir_b = map(Path, argv)
-    differences = compare(dir_a, dir_b)
-    for line in differences:
+    differences, bytes_only = compare(dir_a, dir_b)
+    for line in differences + bytes_only:
         print(line)
     print(f"{len(differences)} difference(s) over {len(_names(dir_a) | _names(dir_b))} file(s)")
     return 1 if differences else 0

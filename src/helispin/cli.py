@@ -17,7 +17,7 @@ import copy
 import json
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .density import DensityMatrix2, reduced_helicity_density, reduced_spin_density
-from .entropy import von_neumann_entropy
+from .entropy import EntropyReport, von_neumann_entropy
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -164,8 +164,10 @@ def _is_int(x: Any) -> bool:
 
 
 def _is_number(x: Any) -> bool:
-    """A JSON number; a JSON bool is not one, though Python's bool is an int."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number. Python's json also reads Infinity, NaN and
+    integers beyond the float range; a JSON bool is not one either, though
+    Python's bool is an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _known_fields(node: dict, keys: set[str], where: str) -> None:
@@ -184,7 +186,7 @@ def _parse_grid(node: Any, where: str) -> GridSpec:
             counts[key] = node[key]
     r_max = node.get("r_max")
     if r_max is not None:
-        _expect(_is_number(r_max), f"{where}.r_max", "must be a number")
+        _expect(_is_number(r_max), f"{where}.r_max", "must be a finite number")
         r_max = float(r_max)
     return GridSpec(**counts, r_max=r_max)
 
@@ -192,9 +194,12 @@ def _parse_grid(node: Any, where: str) -> GridSpec:
 def _parse_reference(node: Any, quantity: str, where: str) -> Any:
     if isinstance(node, str):
         _expect(node in ORACLES, where, f"unknown oracle reference {node!r}")
+        _expect(node.endswith("_entropy") == quantity.endswith("_entropy"), where,
+                f"oracle {node!r} is not a reference for {quantity!r}")
         return node
     if quantity.endswith("_entropy"):
-        _expect(_is_number(node), where, "entropy reference must be a number or oracle name")
+        _expect(_is_number(node), where,
+                "entropy reference must be a finite number or oracle name")
         return float(node)
     _expect(isinstance(node, list) and len(node) == 2, where,
             "density reference must be a 2x2 matrix or oracle name")
@@ -208,7 +213,7 @@ def _parse_reference(node: Any, quantity: str, where: str) -> Any:
                 matrix[i, j] = complex(entry[0], entry[1])
             else:
                 raise ScenarioParseError(
-                    f"{where}[{i}][{j}]: matrix entries must be numbers or [re, im] pairs"
+                    f"{where}[{i}][{j}]: matrix entries must be finite numbers or [re, im] pairs"
                 )
     return matrix
 
@@ -231,7 +236,7 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
     _expect(isinstance(params, dict), f"{where}.state.params", "must be an object")
     for key, value in params.items():
         _expect(_is_number(value) or isinstance(value, str), f"{where}.state.params.{key}",
-                "must be a number or a string")
+                "must be a finite number or a string")
     _known_fields(state_node, {"family", "params"}, f"{where}.state")
 
     outputs = tree.get("outputs")
@@ -252,8 +257,10 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
         quantity = node.get("quantity")
         _expect(quantity in OUTPUT_QUANTITIES, f"{cw}.quantity",
                 f"unknown quantity {quantity!r}")
+        _expect(quantity in _computed(outputs), f"{cw}.quantity",
+                f"{quantity!r} is not computed; list it (or its entropy) in outputs")
         tol = node.get("tol")
-        _expect(_is_number(tol) and tol > 0, f"{cw}.tol", "must be a positive number")
+        _expect(_is_number(tol) and tol > 0, f"{cw}.tol", "must be a positive finite number")
         reference = _parse_reference(node.get("reference"), quantity, f"{cw}.reference")
         checks.append(CheckSpec(quantity=quantity, reference=reference, tol=float(tol)))
 
@@ -310,7 +317,7 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
     _expect(isinstance(values, list) and values, f"{where}.parameter.values",
             "must be a non-empty list")
     for i, v in enumerate(values):
-        _expect(_is_number(v), f"{where}.parameter.values[{i}]", "must be a number")
+        _expect(_is_number(v), f"{where}.parameter.values[{i}]", "must be a finite number")
 
     outputs = tree.get("outputs")
     _expect(isinstance(outputs, list) and outputs, f"{where}.outputs",
@@ -363,18 +370,20 @@ def build_state(family: str, params: dict[str, Any]) -> OneParticleState:
             )
     except ConfigurationError:
         raise
-    except (TypeError, ValueError) as exc:  # wrong keyword set or parameter type
+    except (TypeError, ValueError, OverflowError) as exc:  # wrong keywords, type or range
         raise ConfigurationError(f"bad parameters for family {family!r}: {exc}") from exc
     raise ConfigurationError(f"unknown state family {family!r}")
+
+
+def _computed(outputs: Sequence[str]) -> set[str]:
+    """The outputs and the densities their entropies are computed from."""
+    return set(outputs) | {_DENSITY_FOR_ENTROPY[q] for q in outputs if q in _DENSITY_FOR_ENTROPY}
 
 
 def _compute_quantities(
     state: OneParticleState, grid: QuadratureGrid, quantities: Sequence[str]
 ) -> dict[str, Any]:
-    needed = set(quantities)
-    for q in quantities:
-        if q in _DENSITY_FOR_ENTROPY:
-            needed.add(_DENSITY_FOR_ENTROPY[q])
+    needed = _computed(quantities)
     out: dict[str, Any] = {}
     prepared = normalize(state, grid)
     if "spin_density" in needed:
@@ -513,89 +522,49 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_tree(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_pair(complex(m[i, j])) for j in range(2)] for i in range(2)]
-
-
-def _grid_tree(grid: QuadratureGrid) -> dict[str, Any]:
-    return {"n_r": grid.n_r, "n_theta": grid.n_theta, "n_phi": grid.n_phi, "r_max": grid.r_max}
-
-
-def _reference_tree(reference: Any) -> Any:
-    if isinstance(reference, str):
-        return reference
-    if isinstance(reference, np.ndarray):
-        return _matrix_tree(reference)
-    return float(reference)
-
-
 def report_tree(result: ScenarioResult) -> dict[str, Any]:
-    """The report as a plain tree of JSON-serializable values."""
+    """The report as a tree of JSON values and the result objects that
+    :func:`dumps_deterministic` knows how to write."""
     sc = result.scenario
     tree: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "helispin", "version": __version__},
         "scenario": {
             "name": sc.name,
-            "state": {"family": sc.family, "params": dict(sc.params)},
-            "outputs": list(sc.outputs),
+            "state": {"family": sc.family, "params": sc.params},
+            "outputs": sc.outputs,
         },
-        "grid": _grid_tree(result.grid),
-        "results": {},
+        "grid": result.grid,
+        "results": result.results,
         "all_checks_passed": result.all_passed,
     }
-    for key in sorted(result.results):
-        value = result.results[key]
-        if key.endswith("_density"):
-            tree["results"][key] = {"basis": value.basis, "matrix": _matrix_tree(value.entries)}
-        else:
-            tree["results"][key] = {
-                "eigenvalues": list(value.eigenvalues),
-                "entropy_bits": value.entropy_bits,
-            }
     if result.convergence is not None:
-        tree["convergence"] = {
-            "refined_grid": _grid_tree(result.convergence["refined_grid"]),
-            "max_delta": result.convergence["max_delta"],
-        }
+        tree["convergence"] = result.convergence
     if result.checks:
-        tree["checks"] = [
-            {
-                "quantity": c.quantity,
-                "reference": _reference_tree(c.reference),
-                "tol": c.tol,
-                "deviation": c.deviation,
-                "passed": c.passed,
-            }
-            for c in result.checks
-        ]
+        tree["checks"] = result.checks
     if result.mc is not None:
-        tree["mc"] = {
-            "n_samples": result.mc["n_samples"],
-            "seed": result.mc["seed"],
-            "sigma_bound": result.mc["sigma_bound"],
-            "estimates": {
-                key: {
-                    "value": _matrix_tree(block["value"]),
-                    "std_error": block["std_error"].tolist(),
-                    "effective_sample_size": block["effective_sample_size"],
-                    "max_sigma_distance": block["max_sigma_distance"],
-                    "within_bound": block["within_bound"],
-                }
-                for key, block in sorted(result.mc["estimates"].items())
-            },
-        }
+        tree["mc"] = result.mc
     return tree
+
+
+def _report_value(obj: Any) -> Any:
+    """The JSON form of a result object; complex arrays as [re, im] pairs."""
+    if isinstance(obj, DensityMatrix2):
+        return {"basis": obj.basis, "matrix": obj.entries}
+    if isinstance(obj, QuadratureGrid):
+        return {"n_r": obj.n_r, "n_theta": obj.n_theta, "n_phi": obj.n_phi, "r_max": obj.r_max}
+    if isinstance(obj, (EntropyReport, CheckResult)):
+        return asdict(obj)
+    if isinstance(obj, np.ndarray):
+        return (np.stack([obj.real, obj.imag], axis=-1) if np.iscomplexobj(obj) else obj).tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps_deterministic(tree: Any) -> str:
     """JSON with sorted keys and shortest round-trip floats; byte-stable across runs."""
     try:
-        return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False,
+                          default=_report_value) + "\n"
     except (TypeError, ValueError) as exc:  # a non-finite float or a non-JSON value
         raise ConfigurationError(f"cannot serialize report: {exc}") from exc
 

@@ -1,10 +1,11 @@
 """Reduction of a pure one-particle state to a 2x2 spin or helicity matrix.
 
 Tracing out momentum turns the state into the weighted sum over grid nodes
-of the outer product of its two-component amplitude with itself. When the
-state is stored in the other basis, the amplitudes are first rotated node by
-node (algebraically identical to conjugating each outer product with the
-rotation, at half the per-node work).
+of a a^dagger, a its two-component amplitude. The nodes and the sum come
+from :func:`helispin.states.on_grid`, which owns the layout of the state on
+the grid. When the state is stored in the other basis, the amplitudes are
+first rotated node by node (algebraically identical to conjugating each
+a a^dagger with the rotation, at half the per-node work).
 
 One kernel, :func:`accumulate_outer`, serves every reduction: it sums only
 the three unique entries |up|^2, |down|^2 and up*conj(down), in the grid's
@@ -15,14 +16,12 @@ dividing by the on-grid norm so the trace is 1 to machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import states as states_mod
 from .errors import ConfigurationError, ContractViolationError, NumericalDomainError
 from .quadrature import QuadratureGrid
-from .states import OneParticleState
+from .states import OneParticleState, on_grid
 from .su2 import (
     SPIN,
     HELICITY,
@@ -94,13 +93,15 @@ def eigenvalues_hermitian2(m) -> tuple[float, float]:
 
 
 def accumulate_outer(measure, up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """Weighted sum of outer products, Hermitian by construction.
+    """Weighted sum of the matrices a a^dagger, a = (up, down), Hermitian by
+    construction.
 
     Only |up|^2, |down|^2 and up*conj(down) are reduced; entry (1, 0) is the
     conjugate of entry (0, 1). ``measure`` is either per-node weights, each
     entry then being one pairwise np.sum in node order, or a function that
-    reduces an entry array (a grid's mesh or product sum, a Monte-Carlo
-    tile's moments). Axes of that reduction follow the two matrix axes.
+    reduces an entry array (the measure of :func:`helispin.states.on_grid`,
+    a Monte-Carlo tile's moments). Axes of that reduction follow the two
+    matrix axes.
     """
     reduce = measure if callable(measure) else (lambda x: np.sum(measure * x))
     uu = reduce(up.real**2 + up.imag**2)
@@ -113,18 +114,8 @@ def accumulate_outer(measure, up: np.ndarray, down: np.ndarray) -> np.ndarray:
 
 
 def _reduce(state: OneParticleState, grid: QuadratureGrid, target: Basis) -> DensityMatrix2:
-    """Reduce on the grid. Radially separable states take the product path:
-    the radial sum factors out of every entry, leaving small angular sums.
-    Other states are reduced over the full mesh, one radial slab at a time."""
-    if state.product is not None:
-        radial = np.abs(states_mod.radial_values(state.product, grid)) ** 2
-        up, down = states_mod.angular_values(state.product, grid)
-        theta, phi = grid.theta_mesh[0], grid.phi_mesh[0]
-        measure = partial(grid.product_sum, radial)
-    else:
-        up, down = state.components_on(grid)
-        theta, phi = grid.theta_mesh, grid.phi_mesh
-        measure = grid.mesh_sum
+    """Reduce on the grid in the layout :func:`on_grid` picks for the state."""
+    up, down, theta, phi, measure = on_grid(state, grid)
     if state.basis != target:
         transform = (
             spin_components_to_helicity

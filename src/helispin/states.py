@@ -4,10 +4,15 @@ A state is an immutable description: a basis tag plus a pure evaluator from
 (p, theta, phi) arrays to the (up, down) component arrays. Evaluators must be
 written with elementwise numpy operations so they accept broadcastable
 inputs: grids evaluate them on mesh axes shaped (n_r, 1, 1), (1, n_theta, 1)
-and (1, 1, n_phi), which keeps separable families (every built-in one) cheap
-on large grids. Mesh evaluations are checked by the grid and cached per
+and (1, 1, n_phi). Mesh evaluations are checked by the grid and cached per
 (state, grid) pair through a weak mapping, capped by array size;
 ``normalize`` hands its cached evaluation on to the normalized state.
+
+A radially separable state (every built-in one) also carries a
+:class:`ProductForm`. :func:`on_grid` is the one place that picks a layout:
+a product state is laid out on the (theta, phi) sub-grid with its radial sum
+factored out, any other state on the full mesh. Norms and reductions both
+read that layout.
 
 Built-in families:
 
@@ -24,7 +29,8 @@ Built-in families:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,11 +40,10 @@ from .errors import (
     DegenerateInputError,
     NumericalDomainError,
 )
-from .quadrature import Momentum, QuadratureGrid
+from .quadrature import QuadratureGrid
 from .su2 import (
     SPIN,
     HELICITY,
-    AmplitudePair,
     Basis,
     helicity_components_to_spin,
     spin_components_to_helicity,
@@ -53,16 +58,15 @@ AmplitudeFn = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, n
 @dataclass(frozen=True)
 class ProductForm:
     """Radially separable amplitude: one radial factor shared by both
-    components times per-component angular factors.
+    components times one angular spinor.
 
-    Reductions and norms of such states factor into a radial sum times small
-    angular sums, which keeps large grids cheap. Angular factors may return
-    scalars (e.g. 0 for an absent component).
+    ``angular(theta, phi)`` returns the (up, down) pair, so a basis change
+    rotates the spinor once. Reductions and norms of such states factor into
+    a radial sum times small angular sums, which keeps large grids cheap.
     """
 
     radial: Callable[[np.ndarray], np.ndarray]
-    angular_up: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    angular_down: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    angular: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,24 +77,16 @@ class OneParticleState:
     family_params: Mapping[str, float] = field(default_factory=dict)
     product: ProductForm | None = None
     _mesh_cache: "weakref.WeakKeyDictionary" = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
 
     @property
     def characteristic_width(self) -> float:
-        """Momentum scale used to pick the default truncation radius."""
+        """Momentum scale that sets the default truncation radius and the
+        radius of ``mc_density``'s proposal, exp(-p/(0.4 w)) on d^3p; so
+        |psi|^2 must decay faster than exp(-p/(0.4 w)), or the Monte-Carlo
+        weights are unbounded."""
         return float(self.family_params.get("characteristic_width", 1.0))
-
-    def amplitude_at(self, momentum: Momentum) -> AmplitudePair:
-        """Evaluate at a single momentum point."""
-        up, down = self.amplitude(
-            np.array([momentum.p]), np.array([momentum.theta]), np.array([momentum.phi])
-        )
-        return AmplitudePair(
-            up=complex(np.asarray(up).reshape(-1)[0]),
-            down=complex(np.asarray(down).reshape(-1)[0]),
-            basis=self.basis,
-        )
 
     def components_on(self, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
         """(up, down) evaluated on the grid's broadcast mesh axes.
@@ -127,30 +123,35 @@ def radial_values(product: ProductForm, grid: QuadratureGrid) -> np.ndarray:
     return vals
 
 
-def angular_values(
-    product: ProductForm, grid: QuadratureGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both angular factors on the (theta, phi) sub-grid, validated finite."""
-    shape = (grid.n_theta, grid.n_phi)
+def on_grid(state: OneParticleState, grid: QuadratureGrid):
+    """The state laid out for a grid sum: ``(up, down, theta, phi, measure)``.
+
+    A product state gives its angular pair on the (theta, phi) sub-grid,
+    validated finite, and a ``measure`` that multiplies the angular sum by
+    the radial sum of |radial|^2. Any other state gives its components on
+    the mesh and ``grid.mesh_sum``. ``theta`` and ``phi`` broadcast against
+    the components, so a basis change can rotate them node by node, and
+    ``measure`` reduces any array of their shape.
+    """
+    if state.product is None:
+        up, down = state.components_on(grid)
+        return up, down, grid.theta_mesh, grid.phi_mesh, grid.mesh_sum
+    radial = radial_values(state.product, grid)
+    theta, phi = grid.theta_mesh[0], grid.phi_mesh[0]
+    pair = state.product.angular(theta, phi)
     out = []
-    for fn, name in ((product.angular_up, "up"), (product.angular_down, "down")):
-        vals = np.asarray(fn(grid.theta_mesh[0], grid.phi_mesh[0]), dtype=np.complex128)
-        vals = np.broadcast_to(vals, shape)
+    for vals, name in zip(pair, ("up", "down")):
+        vals = np.broadcast_to(np.asarray(vals, dtype=np.complex128), (grid.n_theta, grid.n_phi))
         if not np.all(np.isfinite(vals)):
             raise NumericalDomainError(f"angular {name} factor is not finite on the grid")
         out.append(vals)
-    return out[0], out[1]
+    return out[0], out[1], theta, phi, partial(grid.product_sum, np.abs(radial) ** 2)
 
 
 def norm_squared(state: OneParticleState, grid: QuadratureGrid) -> float:
     """Quadrature of |up|^2 + |down|^2 over the grid (the squared norm)."""
-    if state.product is not None:
-        radial = radial_values(state.product, grid)
-        ang_up, ang_down = angular_values(state.product, grid)
-        density = np.abs(ang_up) ** 2 + np.abs(ang_down) ** 2
-        return float(grid.product_sum(np.abs(radial) ** 2, density))
-    up, down = state.components_on(grid)
-    return float(grid.mesh_sum(np.abs(up) ** 2 + np.abs(down) ** 2))
+    up, down, _, _, measure = on_grid(state, grid)
+    return float(measure(np.abs(up) ** 2 + np.abs(down) ** 2))
 
 
 def _assemble(
@@ -164,10 +165,8 @@ def _assemble(
 
     def amp(p, theta, phi):
         radial = np.asarray(product.radial(p), dtype=np.complex128)
-        return (
-            radial * product.angular_up(theta, phi),
-            radial * product.angular_down(theta, phi),
-        )
+        up, down = product.angular(theta, phi)
+        return radial * up, radial * down
 
     return OneParticleState(
         basis=basis,
@@ -188,24 +187,15 @@ def normalize(state: OneParticleState, grid: QuadratureGrid) -> OneParticleState
         inner_radial = state.product.radial
         product = ProductForm(
             radial=lambda p: scale * np.asarray(inner_radial(p), dtype=np.complex128),
-            angular_up=state.product.angular_up,
-            angular_down=state.product.angular_down,
+            angular=state.product.angular,
         )
         return _assemble(state.basis, product, state.label, state.family_params)
     inner = state.amplitude
 
     def scaled(p, theta, phi):
-        up, down = inner(p, theta, phi)
-        return scale * np.asarray(up, dtype=np.complex128), scale * np.asarray(
-            down, dtype=np.complex128
-        )
+        return tuple(scale * np.asarray(x, dtype=np.complex128) for x in inner(p, theta, phi))
 
-    normalized = OneParticleState(
-        basis=state.basis,
-        amplitude=scaled,
-        label=state.label,
-        family_params=state.family_params,
-    )
+    normalized = replace(state, amplitude=scaled)  # a fresh mesh cache
     # reuse the norm pass's mesh evaluation instead of evaluating again
     cached = state._mesh_cache.get(grid)
     if cached is not None:
@@ -230,38 +220,31 @@ def with_basis(state: OneParticleState, basis: Basis) -> OneParticleState:
     if state.product is not None:
         pf = state.product
 
-        def ang_up(theta, phi):
-            return transform(pf.angular_up(theta, phi), pf.angular_down(theta, phi), theta, phi)[0]
+        def angular(theta, phi):
+            return transform(*pf.angular(theta, phi), theta, phi)
 
-        def ang_down(theta, phi):
-            return transform(pf.angular_up(theta, phi), pf.angular_down(theta, phi), theta, phi)[1]
-
-        product = ProductForm(radial=pf.radial, angular_up=ang_up, angular_down=ang_down)
-        return _assemble(basis, product, state.label, state.family_params)
+        return _assemble(basis, ProductForm(pf.radial, angular), state.label, state.family_params)
     inner = state.amplitude
 
     def converted(p, theta, phi):
         up, down = inner(p, theta, phi)
         return transform(up, down, theta, phi)
 
-    return OneParticleState(
-        basis=basis,
-        amplitude=converted,
-        label=state.label,
-        family_params=state.family_params,
-    )
+    return replace(state, basis=basis, amplitude=converted)
 
 
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def _unit_angular(theta, phi):
-    return np.ones(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+def _up_only(factor: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
+    """The angular pair (factor, 0) of an "up" state; no factor means 1."""
 
+    def angular(theta, phi):
+        ones = np.ones(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+        return (ones if factor is None else factor(theta, phi) * ones), np.zeros(ones.shape)
 
-def _zero_angular(theta, phi):
-    return np.zeros(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+    return angular
 
 
 def _gaussian_radial(tau: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -269,28 +252,25 @@ def _gaussian_radial(tau: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda p: prefactor * np.exp(-(np.asarray(p) ** 2) / (2.0 * tau * tau))
 
 
-def gaussian_spin_up(tau: float) -> OneParticleState:
-    """Isotropic Gaussian packet, spin-up along z, unit norm."""
+def _gaussian(basis: Basis, tau: float, name: str) -> OneParticleState:
     if not (tau > 0.0):
         raise ConfigurationError(f"tau must be positive, got {tau}")
     return _assemble(
-        basis=SPIN,
-        product=ProductForm(_gaussian_radial(tau), _unit_angular, _zero_angular),
-        label=f"gaussian_spin_up(tau={tau:g})",
+        basis=basis,
+        product=ProductForm(_gaussian_radial(tau), _up_only()),
+        label=f"{name}(tau={tau:g})",
         family_params={"tau": float(tau), "characteristic_width": float(tau)},
     )
+
+
+def gaussian_spin_up(tau: float) -> OneParticleState:
+    """Isotropic Gaussian packet, spin-up along z, unit norm."""
+    return _gaussian(SPIN, tau, "gaussian_spin_up")
 
 
 def gaussian_helicity_up(tau: float) -> OneParticleState:
     """Isotropic Gaussian packet in the +1/2 helicity eigenstate, unit norm."""
-    if not (tau > 0.0):
-        raise ConfigurationError(f"tau must be positive, got {tau}")
-    return _assemble(
-        basis=HELICITY,
-        product=ProductForm(_gaussian_radial(tau), _unit_angular, _zero_angular),
-        label=f"gaussian_helicity_up(tau={tau:g})",
-        family_params={"tau": float(tau), "characteristic_width": float(tau)},
-    )
+    return _gaussian(HELICITY, tau, "gaussian_helicity_up")
 
 
 def theta_independent_spin_up(
@@ -313,15 +293,10 @@ def theta_independent_spin_up(
     if not k.is_integer():
         raise ConfigurationError(f"azimuthal_winding must be an integer, got {azimuthal_winding}")
     k = int(k)
-    if k != 0:
-        def angular_up(theta, phi):
-            return np.exp(1j * k * np.asarray(phi)) * _unit_angular(theta, phi)
-    else:
-        angular_up = _unit_angular
-
+    winding = None if k == 0 else (lambda theta, phi: np.exp(1j * k * np.asarray(phi)))
     return _assemble(
         basis=SPIN,
-        product=ProductForm(radial_profile, angular_up, _zero_angular),
+        product=ProductForm(radial_profile, _up_only(winding)),
         label=f"theta_independent_spin_up(k={k})",
         family_params={
             "azimuthal_winding": float(k),
@@ -343,13 +318,11 @@ def anisotropic_spin_up(tau: float, alpha: float) -> OneParticleState:
     if not (abs(alpha) <= 1.0):
         raise ConfigurationError(f"alpha must lie in [-1, 1], got {alpha}")
     a = float(alpha)
-
-    def angular_up(theta, phi):
-        return np.sqrt(1.0 + a * np.cos(theta)) * _unit_angular(theta, phi)
-
     return _assemble(
         basis=SPIN,
-        product=ProductForm(_gaussian_radial(tau), angular_up, _zero_angular),
+        product=ProductForm(
+            _gaussian_radial(tau), _up_only(lambda theta, phi: np.sqrt(1.0 + a * np.cos(theta)))
+        ),
         label=f"anisotropic_spin_up(tau={tau:g}, alpha={a:g})",
         family_params={
             "tau": float(tau),

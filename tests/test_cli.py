@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helispin as hs
 from helispin.cli import (
@@ -78,7 +81,7 @@ def test_invalid_json_exit_2(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
-def test_schema_violations_exit_2(tmp_path):
+def test_schema_violations_exit_2(tmp_path, capsys):
     bad_quantity = {
         "schema_version": 1,
         "name": "x",
@@ -115,6 +118,9 @@ def test_schema_violations_exit_2(tmp_path):
             "outputs": ["spin_density"],
         }
         assert main(["run", str(_write(tmp_path, f"bad{5 + i}.json", bad_param))]) == 2
+    # a width whose Gaussian prefactor overflows a double is an input error
+    tiny_tau = {**bad_param, "state": {"family": "gaussian_spin_up", "params": {"tau": 1e-300}}}
+    assert main(["run", str(_write(tmp_path, "tiny_tau.json", tiny_tau))]) == 2
     # "no checks" is an absent field, not a falsy value; a JSON bool is not a number
     eq11 = bundled_scenarios()["eq11_entropy"]
     for i, checks in enumerate(({}, False, 0, "")):
@@ -122,6 +128,39 @@ def test_schema_violations_exit_2(tmp_path):
         assert main(["run", str(_write(tmp_path, f"checks{i}.json", falsy_checks))]) == 2
     bool_tau = {**eq11, "state": {"family": "gaussian_spin_up", "params": {"tau": True}}}
     assert main(["run", str(_write(tmp_path, "bool_tau.json", bool_tau))]) == 2
+    # a check needs its quantity computed: listed in outputs, or the density
+    # an entropy output implies
+    check = {"quantity": "spin_entropy", "reference": 0.0, "tol": 1e-8}
+    unchecked = {**eq11, "outputs": ["helicity_density", "helicity_entropy"], "checks": [check]}
+    capsys.readouterr()
+    assert main(["run", str(_write(tmp_path, "unchecked.json", unchecked))]) == 2
+    assert "checks[0].quantity" in capsys.readouterr().err
+    implied = {**eq11, "checks": [{**check, "quantity": "helicity_density",
+                                   "reference": "theta_independent_helicity_matrix"}]}
+    assert parse_scenario(implied).checks[0].quantity == "helicity_density"
+    # an oracle reference gives a matrix or an entropy, as its check needs
+    matrix_oracle = {**eq11, "checks": [{**check, "quantity": "helicity_entropy",
+                                         "reference": "isotropic_helicity_spin_matrix"}]}
+    capsys.readouterr()
+    assert main(["run", str(_write(tmp_path, "matrix_oracle.json", matrix_oracle))]) == 2
+    assert "checks[0].reference" in capsys.readouterr().err
+    # Python's json reads Infinity and NaN; numbers must be finite, at parse time
+    inf, nan = float("inf"), float("nan")
+    non_finite = (
+        ("params.tau", {**eq11, "state": {"family": "gaussian_spin_up", "params": {"tau": inf}}}),
+        ("checks[0].tol", {**eq11, "checks": [{**check, "quantity": "helicity_entropy",
+                                               "tol": inf}]}),
+        ("checks[0].reference", {**eq11, "checks": [{**check, "quantity": "helicity_entropy",
+                                                     "reference": nan}]}),
+        ("checks[0].reference[0][1]", {**eq11, "outputs": ["helicity_density"], "checks": [
+            {"quantity": "helicity_density", "reference": [[0.5, nan], [0.0, 0.5]], "tol": 1.0}
+        ]}),
+    )
+    for i, (field, tree) in enumerate(non_finite):
+        capsys.readouterr()
+        assert main(["run", str(_write(tmp_path, f"non_finite{i}.json", tree))]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
 
 
 def test_check_failure_exit_1(tmp_path, capsys):
@@ -242,7 +281,7 @@ def test_run_rejects_sweep_file_and_vice_versa():
     assert main(["sweep", "eq10_theta_independent"]) == 2
 
 
-def test_sweep_empty_values_exit_2(tmp_path):
+def test_sweep_empty_values_exit_2(tmp_path, capsys):
     sweep = {
         "schema_version": 1,
         "name": "empty",
@@ -251,6 +290,9 @@ def test_sweep_empty_values_exit_2(tmp_path):
         "outputs": ["helicity_entropy"],
     }
     assert main(["sweep", str(_write(tmp_path, "empty.json", sweep))]) == 2
+    sweep["parameter"]["values"] = [1.0, float("inf")]
+    assert main(["sweep", str(_write(tmp_path, "infinite.json", sweep))]) == 2
+    assert "parameter.values[1]: must be a finite number" in capsys.readouterr().err
 
 
 def test_sweep_records_point_errors(tmp_path):
@@ -394,3 +436,102 @@ def test_sweep_parameter_path_must_exist():
                 "outputs": ["helicity_entropy"],
             }
         )
+
+
+# CLI fuzz: mutations of small-grid scenarios must end in a documented exit
+# code (0-4), never an exception. Grid counts stay small so no mutation can
+# ask for a large rule. Mutations favour early positions, so the bases list
+# the fields that depend on each other (outputs, checks, state) first.
+_FUZZ_BASES = (
+    {
+        "outputs": ["helicity_density", "helicity_entropy"],
+        "checks": [
+            {"quantity": "helicity_entropy", "reference": "spin_up_helicity_entropy", "tol": 1e-6}
+        ],
+        "state": {
+            "family": "theta_independent_spin_up",
+            "params": {"profile": "shell", "p_min": 0.5, "p_max": 1.5, "winding": 2},
+        },
+        "grid": {"n_r": 8, "n_theta": 8, "n_phi": 4, "r_max": 4.0},
+        "mc": {"n_samples": 200, "seed": 1},
+        "name": "fuzz_shell",
+        "schema_version": 1,
+    },
+    {
+        "outputs": ["spin_density", "spin_entropy"],
+        "checks": [{"quantity": "spin_density", "reference": [[1, 0], [0, [0, 0]]], "tol": 1e-6}],
+        "state": {"family": "anisotropic_spin_up", "params": {"tau": 1.0, "alpha": 0.5}},
+        "grid": {"n_r": 8, "n_theta": 8, "n_phi": 4},
+        "name": "fuzz_gaussian",
+        "schema_version": 1,
+    },
+)
+_WORDS = (
+    "spin_density", "helicity_density", "spin_entropy", "helicity_entropy",
+    "gaussian_spin_up", "gaussian_helicity_up", "anisotropic_spin_up",
+    "theta_independent_spin_up", "gaussian", "linear_exp", "shell",
+    "spin_up_helicity_entropy", "isotropic_helicity_spin_matrix", "tau",
+)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(), st.sampled_from(_WORDS),
+    st.text(max_size=6),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_WORDS), inner,
+                                                               max_size=2),
+    max_leaves=6,
+)
+
+
+def _like(value):
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(-3, 40)
+    if isinstance(value, float):
+        return st.floats()
+    if isinstance(value, str):
+        return st.sampled_from(_WORDS)
+    return _values
+
+
+def _nodes(tree, path=()):
+    """The key path of every value in a tree, parents first."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    tree = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    rnd = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(1, 2))):
+        path = rnd.choice(list(_nodes(tree)))
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        action = rnd.choice(("like", "replace", "delete", "add"))
+        if action == "like":  # a value of the same JSON type
+            parent[path[-1]] = draw(_like(parent[path[-1]]))
+        elif action == "replace":
+            parent[path[-1]] = draw(_values)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(_WORDS))] = draw(_values)
+        else:
+            parent.append(draw(_values))
+    return tree
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tree=_mutated_scenarios())
+def test_run_fuzz_exit_codes(tmp_path_factory, tree):
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "scenario.json"
+    path.write_text(json.dumps(tree), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(directory / "report.json")]) in range(5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helispin as hs
 from helispin.density import DensityMatrix2, accumulate_outer
@@ -237,3 +239,48 @@ def test_mesh_and_product_paths_agree(small_grid):
             return np.abs(up) ** 2 + np.abs(down) ** 2
 
         assert abs(hs.integrate(grid, density) - hs.norm_squared(stripped, grid)) <= 1e-14
+
+
+# Isotropy as a property: any radial profile, any winding. Profiles are
+# Gaussian mixtures or shells on the small grid's (0, 8); a shell is at least
+# 0.75 wide, wider than the largest gap between its 24 radial nodes.
+_gaussian_mixtures = st.lists(
+    st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 4.0), st.floats(0.2, 1.5)),
+    min_size=1, max_size=4,
+).map(lambda terms: lambda p: sum(
+    w * np.exp(-((np.asarray(p) - c) ** 2) / (2.0 * s * s)) for w, c, s in terms
+))
+_shells = st.tuples(st.floats(0.0, 4.0), st.floats(0.75, 3.0)).map(
+    lambda shell: lambda p: ((p > shell[0]) & (p < shell[0] + shell[1])).astype(np.float64)
+)
+_radial_profiles = st.one_of(_gaussian_mixtures, _shells)
+_isotropy = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@_isotropy
+@given(profile=_radial_profiles, winding=st.integers(-4, 4))
+def test_isotropic_spin_up_helicity_density_property(small_grid, profile, winding):
+    """Product path: every isotropic spin-up state reduces to the -pi/8
+    helicity matrix and 0.4917... bits."""
+    state = hs.theta_independent_spin_up(profile, azimuthal_winding=winding)
+    assert state.product is not None
+    rho = hs.reduced_helicity_density(hs.normalize(state, small_grid), small_grid)
+    np.testing.assert_allclose(rho.entries, ORACLE_HELICITY, rtol=0.0, atol=1e-12)
+    bits = hs.von_neumann_entropy(rho).entropy_bits
+    assert abs(bits - hs.oracle_spin_up_helicity_entropy()) <= 1e-12
+
+
+@_isotropy
+@given(profile=_radial_profiles)
+def test_isotropic_helicity_up_spin_density_property(small_grid, profile):
+    """Mesh path: a bare helicity-up evaluator with any radial profile
+    reduces to I/2 in the spin basis, 1 bit."""
+
+    def amp(p, theta, phi):
+        radial = profile(p) * np.ones(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+        return radial, np.zeros_like(radial)
+
+    state = OneParticleState(basis=hs.HELICITY, amplitude=amp, label="helicity up")
+    rho = hs.reduced_spin_density(hs.normalize(state, small_grid), small_grid)
+    np.testing.assert_allclose(rho.entries, 0.5 * np.eye(2), rtol=0.0, atol=1e-12)
+    assert abs(hs.von_neumann_entropy(rho).entropy_bits - 1.0) <= 1e-12
