@@ -5,7 +5,7 @@ reports are JSON emitted by a deterministic writer (sorted keys, each float
 as the shortest text that reads back to the same double, complex numbers as
 [re, im] pairs, LF endings, no timestamps), so identical inputs produce
 byte-identical reports.
-Sweep tables and plot series are CSV with a header row.
+Sweep tables are CSV with a header row.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 input error, 3 numerical
 error, 4 I/O error.
@@ -63,6 +63,9 @@ SCHEMA_VERSION = 1
 OUTPUT_QUANTITIES = ("spin_density", "helicity_density", "spin_entropy", "helicity_entropy")
 _DENSITY_FOR_ENTROPY = {"spin_entropy": "spin_density", "helicity_entropy": "helicity_density"}
 MC_SIGMA_BOUND = 4.0
+#: Largest n_r, n_theta or n_phi a scenario may ask for. Each Gauss-Legendre
+#: rule costs O(n^2) time and memory, and the convergence pass doubles it.
+MAX_GRID_COUNT = 512
 
 #: Named references usable in scenario checks.
 ORACLES: dict[str, Any] = {
@@ -183,6 +186,8 @@ def _parse_grid(node: Any, where: str) -> GridSpec:
     for key in ("n_r", "n_theta", "n_phi"):
         if key in node:
             _expect(_is_int(node[key]), f"{where}.{key}", "must be an integer")
+            _expect(node[key] <= MAX_GRID_COUNT, f"{where}.{key}",
+                    f"must be at most {MAX_GRID_COUNT}")
             counts[key] = node[key]
     r_max = node.get("r_max")
     if r_max is not None:
@@ -304,8 +309,8 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
     _expect(isinstance(parameter, dict), f"{where}.parameter", "must be an object")
     _known_fields(parameter, {"path", "values"}, f"{where}.parameter")
     path = parameter.get("path")
-    _expect(isinstance(path, str) and bool(path), f"{where}.parameter.path",
-            "must be a non-empty string")
+    _expect(isinstance(path, str) and all(key.isidentifier() for key in path.split(".")),
+            f"{where}.parameter.path", f"must be dot-separated identifiers, got {path!r}")
     node = scenario
     for key in path.split(".")[:-1]:
         _expect(isinstance(node, dict) and key in node, f"{where}.parameter.path",
@@ -335,14 +340,14 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
     )
 
 
-_SELECTOR_RE = re.compile(r"^(spin|helicity)_density\[([01])\]\[([01])\]\.(re|im)$")
+_SELECTOR_RE = re.compile(r"(spin|helicity)_density\[([01])\]\[([01])\]\.(re|im)")
 
 
 def _parse_selector(selector: str, where: str):
     """A scalar selector: an entropy name or a density entry component."""
     if selector in ("spin_entropy", "helicity_entropy"):
         return selector, None
-    m = _SELECTOR_RE.match(selector)
+    m = _SELECTOR_RE.fullmatch(selector)
     _expect(m is not None, where, f"invalid scalar selector {selector!r}")
     return f"{m.group(1)}_density", (int(m.group(2)), int(m.group(3)), m.group(4))
 
@@ -577,28 +582,25 @@ def write_csv(rows: list[list[str]], path: Path) -> None:
 # Bundled scenarios and file resolution
 # ---------------------------------------------------------------------------
 
+def _read_json(path: Any) -> Any:
+    """The JSON tree of a file or a bundled resource (anything with
+    ``read_text(encoding=...)``); text that is not UTF-8 JSON is an input error."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except json.JSONDecodeError as exc:
+        raise ScenarioParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+
+
 def bundled_scenarios() -> dict[str, dict]:
     """Name -> parsed JSON tree of every bundled scenario/sweep file."""
     out = {}
     root = resources.files("helispin").joinpath("scenarios")
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            out[entry.name[: -len(".json")]] = json.loads(entry.read_text(encoding="utf-8"))
+            out[entry.name[: -len(".json")]] = _read_json(entry)
     return out
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ScenarioParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
-
-
-def _read_json(path: Path) -> Any:
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
 def load_input(path_or_name: str) -> dict:
@@ -609,63 +611,11 @@ def load_input(path_or_name: str) -> dict:
     name = path_or_name.removesuffix(".json")
     entry = resources.files("helispin") / "scenarios" / f"{name}.json"
     if Path(name).name == name and entry.is_file():  # a bare name, not a path into the package
-        return json.loads(entry.read_text(encoding="utf-8"))
+        return _read_json(entry)
     raise ScenarioParseError(
         f"{path_or_name!r} is neither an existing file nor a bundled scenario "
         f"(bundled: {', '.join(sorted(bundled_scenarios()))})"
     )
-
-
-# ---------------------------------------------------------------------------
-# Plot data
-# ---------------------------------------------------------------------------
-
-def emit_plotdata(source: Path, out_dir: Path) -> list[Path]:
-    """Emit (x, y) series CSV files from a sweep table or a report."""
-    written: list[Path] = []
-    if source.suffix == ".csv":
-        lines = _read_text(source).splitlines()
-        if not lines:
-            raise ScenarioParseError(f"{source}: empty table")
-        header = lines[0].split(",")
-        if len(header) < 3 or header[-1] != "status":
-            raise ScenarioParseError(f"{source}: not a sweep table")
-        data = [line.split(",") for line in lines[1:] if line]
-        for n, cells in enumerate(data, start=2):
-            if len(cells) != len(header):
-                raise ScenarioParseError(
-                    f"{source}: line {n} has {len(cells)} cells, the header {len(header)}"
-                )
-        for col in range(1, len(header) - 1):
-            rows = [["x", "y"]]
-            for cells in data:
-                if cells[-1] == "ok":
-                    rows.append([cells[0], cells[col]])
-            target = out_dir / f"{source.stem}__{_sanitize(header[col])}.csv"
-            write_csv(rows, target)
-            written.append(target)
-        return written
-    tree = _read_json(source)
-    results = tree.get("results") if isinstance(tree, dict) else None
-    if not isinstance(results, dict):
-        raise ScenarioParseError(f"{source}: not a scenario report")
-    for key in sorted(results):
-        if not key.endswith("_entropy"):
-            continue
-        bits = results[key].get("entropy_bits") if isinstance(results[key], dict) else None
-        if not isinstance(bits, (int, float)) or isinstance(bits, bool):
-            raise ScenarioParseError(f"{source}: results.{key}.entropy_bits must be a number")
-        rows = [["x", "y"], ["0", _format_float(bits)]]
-        target = out_dir / f"{source.stem}__{_sanitize(key)}.csv"
-        write_csv(rows, target)
-        written.append(target)
-    if not written:
-        raise ScenarioParseError(f"{source}: report contains no entropy series")
-    return written
-
-
-def _sanitize(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_]+", "_", name).strip("_")
 
 
 # ---------------------------------------------------------------------------
@@ -728,17 +678,6 @@ def _cmd_list_scenarios(_: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plotdata(args: argparse.Namespace) -> int:
-    source = Path(args.source)
-    if not source.exists():
-        raise ScenarioParseError(f"no such file: {source}")
-    out_dir = Path(args.out) if args.out else source.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in emit_plotdata(source, out_dir):
-        print(f"series: {path}")
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="helispin",
@@ -761,11 +700,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     ls = sub.add_parser("list-scenarios", help="list bundled scenarios and sweeps")
     ls.set_defaults(func=_cmd_list_scenarios)
-
-    plot = sub.add_parser("plotdata", help="emit (x, y) series CSVs from a report or table")
-    plot.add_argument("source", help="report JSON or sweep CSV")
-    plot.add_argument("--out", help="output directory (default: alongside the source)")
-    plot.set_defaults(func=_cmd_plotdata)
     return parser
 
 

@@ -79,6 +79,9 @@ def test_invalid_json_exit_2(tmp_path, capsys):
     latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
     assert main(["run", str(latin1)]) == 2
     assert "UTF-8" in capsys.readouterr().err
+    not_object = _write(tmp_path, "not_object.json", [1])
+    assert main(["run", str(not_object)]) == 2
+    assert "must be an object" in capsys.readouterr().err
 
 
 def test_schema_violations_exit_2(tmp_path, capsys):
@@ -197,8 +200,8 @@ def test_degenerate_state_exit_3(tmp_path):
 def test_unwritable_report_exit_4(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
-    out = blocker / "report.json"
-    assert main(["run", "eq11_entropy", "--out", str(out)]) == 4
+    assert main(["run", "eq11_entropy", "--out", str(blocker / "report.json")]) == 4
+    assert main(["sweep", "eq12_tau_sweep", "--out", str(blocker / "t.csv")]) == 4
 
 
 def test_grid_and_mc_overrides(tmp_path):
@@ -214,7 +217,7 @@ def test_grid_and_mc_overrides(tmp_path):
     assert report["mc"]["seed"] == 99
     assert report["mc"]["estimates"]["helicity_density"]["within_bound"] is True
     # the flags are scenario fields and pass the same schema checks
-    for grid in ("2.5,32,32,8.0", "32,32,32", "32,32,32,x", "true,32,32,8.0"):
+    for grid in ("2.5,32,32,8.0", "32,32,32", "32,32,32,x", "true,32,32,8.0", "513,8,8,8.0"):
         assert main(["run", "eq10_theta_independent", "--grid", grid]) == 2
     for mc in ("20000", "20000,-1", "20000,1.5"):
         assert main(["run", "eq10_theta_independent", "--mc", mc]) == 2
@@ -337,54 +340,6 @@ def test_list_scenarios(capsys):
     assert "[sweep]" in out and "[scenario]" in out
 
 
-def test_plotdata_from_sweep(tmp_path):
-    table = tmp_path / "tau.csv"
-    assert main(["sweep", "eq12_tau_sweep", "--out", str(table)]) == 0
-    series_dir = tmp_path / "series"
-    assert main(["plotdata", str(table), "--out", str(series_dir)]) == 0
-    series = sorted(series_dir.iterdir())
-    assert len(series) == 1
-    lines = series[0].read_text().splitlines()
-    assert lines[0] == "x,y"
-    ys = [float(line.split(",")[1]) for line in lines[1:]]
-    assert len(ys) == 5
-    # flat line at the closed-form entropy
-    assert max(ys) - min(ys) <= 1e-8
-    assert abs(ys[0] - hs.oracle_spin_up_helicity_entropy()) <= 1e-7
-
-
-def test_plotdata_from_report(tmp_path):
-    report = tmp_path / "r.json"
-    assert main(["run", "eq11_entropy", "--out", str(report)]) == 0
-    assert main(["plotdata", str(report), "--out", str(tmp_path)]) == 0
-    series = tmp_path / "r__helicity_entropy.csv"
-    lines = series.read_text().splitlines()
-    assert lines[0] == "x,y"
-    assert len(lines) == 2  # single-row series
-
-
-def test_plotdata_unwritable_exit_4(tmp_path):
-    table = tmp_path / "tau.csv"
-    assert main(["sweep", "eq12_tau_sweep", "--out", str(table)]) == 0
-    blocker = tmp_path / "blocker"
-    blocker.write_text("not a directory")
-    assert main(["plotdata", str(table), "--out", str(blocker / "sub")]) == 4
-
-
-def test_plotdata_missing_source_exit_2(tmp_path):
-    assert main(["plotdata", str(tmp_path / "nope.csv")]) == 2
-    not_json = tmp_path / "not_json.json"
-    not_json.write_text("{", encoding="utf-8")
-    latin1 = tmp_path / "latin1.csv"
-    latin1.write_bytes("alpha,caf\u00e9,status\n".encode("latin-1"))
-    bad_entropy = _write(tmp_path, "bad_entropy.json", {"results": {"spin_entropy": 3}})
-    not_object = _write(tmp_path, "not_object.json", [1])
-    short_row = tmp_path / "short_row.csv"
-    short_row.write_text("alpha,helicity_entropy,status\nok\n", encoding="utf-8")
-    for source in (not_json, latin1, bad_entropy, not_object, short_row):
-        assert main(["plotdata", str(source), "--out", str(tmp_path / "series")]) == 2
-
-
 def test_mc_requires_density_output(tmp_path):
     assert main(["run", "eq11_entropy", "--mc", "5000,1"]) == 2
 
@@ -406,10 +361,11 @@ def test_parse_selector_validation(tmp_path):
         "name": "bad_selector",
         "scenario": bundled_scenarios()["eq11_entropy"],
         "parameter": {"path": "state.params.tau", "values": [1.0]},
-        "outputs": ["helicity_density[0][2].re"],
     }
-    with pytest.raises(ScenarioParseError):
-        parse_sweep(sweep)
+    # a trailing newline would split the table's header over two lines
+    for selector in ("helicity_density[0][2].re", "helicity_density[0][1].re\n"):
+        with pytest.raises(ScenarioParseError, match="invalid scalar selector"):
+            parse_sweep({**sweep, "outputs": [selector]})
 
 
 def test_grid_spec_resolves_width_scaled_r_max():
@@ -426,43 +382,55 @@ def test_grid_spec_resolves_width_scaled_r_max():
 
 
 def test_sweep_parameter_path_must_exist():
-    with pytest.raises(ScenarioParseError, match="does not address"):
-        parse_sweep(
-            {
-                "schema_version": 1,
-                "name": "bad_path",
-                "scenario": bundled_scenarios()["eq11_entropy"],
-                "parameter": {"path": "state.missing.tau", "values": [1.0]},
-                "outputs": ["helicity_entropy"],
-            }
-        )
+    # the path heads the table's first column, so a comma would add a cell
+    for path, message in (("state.missing.tau", "does not address"),
+                          ("state.params.tau,x", "must be dot-separated identifiers")):
+        with pytest.raises(ScenarioParseError, match=f"sweep.parameter.path: .*{message}"):
+            parse_sweep(
+                {
+                    "schema_version": 1,
+                    "name": "bad_path",
+                    "scenario": bundled_scenarios()["eq11_entropy"],
+                    "parameter": {"path": path, "values": [1.0]},
+                    "outputs": ["helicity_entropy"],
+                }
+            )
 
 
-# CLI fuzz: mutations of small-grid scenarios must end in a documented exit
-# code (0-4), never an exception. Grid counts stay small so no mutation can
-# ask for a large rule. Mutations favour early positions, so the bases list
-# the fields that depend on each other (outputs, checks, state) first.
-_FUZZ_BASES = (
-    {
-        "outputs": ["helicity_density", "helicity_entropy"],
-        "checks": [
-            {"quantity": "helicity_entropy", "reference": "spin_up_helicity_entropy", "tol": 1e-6}
-        ],
-        "state": {
-            "family": "theta_independent_spin_up",
-            "params": {"profile": "shell", "p_min": 0.5, "p_max": 1.5, "winding": 2},
-        },
-        "grid": {"n_r": 8, "n_theta": 8, "n_phi": 4, "r_max": 4.0},
-        "mc": {"n_samples": 200, "seed": 1},
-        "name": "fuzz_shell",
-        "schema_version": 1,
+# CLI fuzz: mutations of small-grid scenarios and sweeps must end in a
+# documented exit code (0-4), never an exception. Grid counts stay small so no
+# mutation can ask for a large rule. Mutations favour early positions, so the
+# bases list the fields that depend on each other (outputs, checks, state)
+# first.
+_FUZZ_SHELL = {
+    "outputs": ["helicity_density", "helicity_entropy"],
+    "checks": [
+        {"quantity": "helicity_entropy", "reference": "spin_up_helicity_entropy", "tol": 1e-6}
+    ],
+    "state": {
+        "family": "theta_independent_spin_up",
+        "params": {"profile": "shell", "p_min": 0.5, "p_max": 1.5, "winding": 2},
     },
+    "grid": {"n_r": 8, "n_theta": 8, "n_phi": 4, "r_max": 4.0},
+    "mc": {"n_samples": 200, "seed": 1},
+    "name": "fuzz_shell",
+    "schema_version": 1,
+}
+_FUZZ_BASES = (
+    _FUZZ_SHELL,
     {
         "outputs": ["spin_density", "spin_entropy"],
         "checks": [{"quantity": "spin_density", "reference": [[1, 0], [0, [0, 0]]], "tol": 1e-6}],
         "state": {"family": "anisotropic_spin_up", "params": {"tau": 1.0, "alpha": 0.5}},
         "grid": {"n_r": 8, "n_theta": 8, "n_phi": 4},
         "name": "fuzz_gaussian",
+        "schema_version": 1,
+    },
+    {
+        "outputs": ["helicity_entropy", "spin_density[0][1].im"],
+        "parameter": {"path": "state.params.p_max", "values": [1.0, 2.5]},
+        "scenario": _FUZZ_SHELL,
+        "name": "fuzz_sweep",
         "schema_version": 1,
     },
 )
@@ -532,6 +500,7 @@ def _mutated_scenarios(draw):
 @given(tree=_mutated_scenarios())
 def test_run_fuzz_exit_codes(tmp_path_factory, tree):
     directory = tmp_path_factory.mktemp("fuzz")
-    path = directory / "scenario.json"
+    path = directory / "input.json"
     path.write_text(json.dumps(tree), encoding="utf-8")
-    assert main(["run", str(path), "--out", str(directory / "report.json")]) in range(5)
+    command = "sweep" if "parameter" in tree else "run"
+    assert main([command, str(path), "--out", str(directory / "output")]) in range(5)
