@@ -55,8 +55,7 @@ def main(n_samples: int = 1_000_000) -> None:
         )
         quad = reduce_fn(hs.normalize(state, grid), grid).entries
         est = hs.mc_density(state, target, n_samples, seed=seed)
-        sigma = np.where(est.std_error > 0, est.std_error, 1.0)
-        distance = np.abs(quad - est.value) / sigma
+        distance = est.sigma_distance(quad)
         print(f"{label}: max sigma distance {distance.max():.2f}, "
               f"ESS {est.ess:.0f} of {est.n_samples}")
         print(np.array2string(distance, precision=2))

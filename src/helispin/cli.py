@@ -13,11 +13,10 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
@@ -120,9 +119,9 @@ class Scenario:
 @dataclass(frozen=True)
 class SweepSpec:
     name: str
-    scenario: dict[str, Any]
     parameter_path: str
     values: tuple[int | float, ...]
+    points: tuple[Scenario, ...]  # the base scenario at each value
     outputs: tuple[str, ...]
 
 
@@ -145,11 +144,17 @@ class ScenarioResult:
     mc: dict[str, Any] | None = None
 
     @property
-    def all_passed(self) -> bool:
-        ok = all(c.passed for c in self.checks)
+    def failed_quantities(self) -> list[str]:
+        """The quantities of the failed checks, then of the Monte-Carlo
+        estimates outside their bound."""
+        failed = [c.quantity for c in self.checks if not c.passed]
         if self.mc is not None:
-            ok = ok and all(block["within_bound"] for block in self.mc["estimates"].values())
-        return ok
+            failed += [q for q, block in self.mc["estimates"].items() if not block["within_bound"]]
+        return failed
+
+    @property
+    def all_passed(self) -> bool:
+        return not self.failed_quantities
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +308,7 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
     _expect(isinstance(name, str) and bool(name), f"{where}.name", "must be a non-empty string")
     scenario = tree.get("scenario")
     _expect(isinstance(scenario, dict), f"{where}.scenario", "must be an object")
-    parse_scenario(scenario, where=f"{where}.scenario")  # validate the base point
+    base = parse_scenario(scenario, where=f"{where}.scenario")
 
     parameter = tree.get("parameter")
     _expect(isinstance(parameter, dict), f"{where}.parameter", "must be an object")
@@ -311,13 +316,12 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
     path = parameter.get("path")
     _expect(isinstance(path, str) and all(key.isidentifier() for key in path.split(".")),
             f"{where}.parameter.path", f"must be dot-separated identifiers, got {path!r}")
+    keys = path.split(".")
     node = scenario
-    for key in path.split(".")[:-1]:
+    for key in keys:
         _expect(isinstance(node, dict) and key in node, f"{where}.parameter.path",
                 f"{path!r} does not address a field of the base scenario")
         node = node[key]
-    _expect(isinstance(node, dict), f"{where}.parameter.path",
-            f"{path!r} does not address an object field")
     values = parameter.get("values")
     _expect(isinstance(values, list) and values, f"{where}.parameter.values",
             "must be a non-empty list")
@@ -329,15 +333,27 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
             "must be a non-empty list")
     for i, sel in enumerate(outputs):
         _expect(isinstance(sel, str), f"{where}.outputs[{i}]", "must be a string")
-        _parse_selector(sel, f"{where}.outputs[{i}]")
+        quantity, _ = _parse_selector(sel, f"{where}.outputs[{i}]")
+        _expect(quantity in _computed(base.outputs), f"{where}.outputs[{i}]",
+                f"{quantity!r} is not computed; list it (or its entropy) in the scenario's outputs")
 
     return SweepSpec(
         name=name,
-        scenario=scenario,
         parameter_path=path,
         values=tuple(values),
+        points=tuple(
+            parse_scenario(_with_value(scenario, keys, v), f"{where}.scenario[{path}={v!r}]")
+            for v in values
+        ),
         outputs=tuple(outputs),
     )
+
+
+def _with_value(tree: dict, keys: list[str], value: Any) -> dict:
+    """A copy of ``tree`` with the field at ``keys`` set to ``value``; the
+    branches off that path are shared, not copied."""
+    head, *rest = keys
+    return {**tree, head: _with_value(tree[head], rest, value) if rest else value}
 
 
 _SELECTOR_RE = re.compile(r"(spin|helicity)_density\[([01])\]\[([01])\]\.(re|im)")
@@ -403,10 +419,13 @@ def _compute_quantities(
 
 
 def _deviation(quantity: str, computed: Any, reference: Any) -> float:
+    """The largest entry of |computed - reference|; the reference is an oracle
+    name, a number, a matrix or another result of the same quantity."""
     if isinstance(reference, str):
         reference = ORACLES[reference]()
     if quantity.endswith("_entropy"):
-        return abs(computed.entropy_bits - float(reference))
+        bits = reference.entropy_bits if isinstance(reference, EntropyReport) else reference
+        return abs(computed.entropy_bits - float(bits))
     ref = reference.entries if isinstance(reference, DensityMatrix2) else np.asarray(reference)
     return float(np.max(np.abs(computed.entries - ref)))
 
@@ -423,12 +442,7 @@ def execute_scenario(
     if compute_convergence:
         refined_grid = refine(grid)
         refined = _compute_quantities(state, refined_grid, scenario.outputs)
-        delta = 0.0
-        for key, value in results.items():
-            if key.endswith("_density"):
-                delta = max(delta, float(np.max(np.abs(value.entries - refined[key].entries))))
-            else:
-                delta = max(delta, abs(value.entropy_bits - refined[key].entropy_bits))
+        delta = max(_deviation(key, value, refined[key]) for key, value in results.items())
         out.convergence = {"refined_grid": refined_grid, "max_delta": delta}
 
     for check in scenario.checks:
@@ -452,11 +466,7 @@ def execute_scenario(
             estimate = mc_density(
                 state, basis, scenario.mc.n_samples, scenario.mc.seed
             )
-            quad = results[quantity].entries
-            gap = np.abs(quad - estimate.value)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sigmas = np.where(gap == 0.0, 0.0, gap / estimate.std_error)
-            max_sigma = float(np.max(sigmas))
+            max_sigma = float(np.max(estimate.sigma_distance(results[quantity].entries)))
             estimates[quantity] = {
                 "value": estimate.value,
                 "std_error": estimate.std_error,
@@ -473,49 +483,44 @@ def execute_scenario(
     return out
 
 
-def execute_sweep(sweep: SweepSpec) -> list[list[str]]:
-    """Run every sweep point; returns CSV rows (header first)."""
-    selectors = [(_parse_selector(s, "outputs"), s) for s in sweep.outputs]
-    header = [sweep.parameter_path, *sweep.outputs, "status"]
-    rows = [header]
-    needed = sorted({sel[0] for sel, _ in selectors})
-    for value in sweep.values:
-        tree = copy.deepcopy(sweep.scenario)
-        cells = [_format_float(value)]
+def execute_sweep(sweep: SweepSpec, failures: list[str] | None = None) -> list[list[str]]:
+    """Run every sweep point as parsed; returns CSV rows (header first).
+
+    A row's status is ``ok``, ``fail:<quantity>`` naming its first failing
+    check or Monte-Carlo estimate, or ``error:<exception type>`` with empty
+    cells. Each row that is not ok appends ``point <value>: <status>`` to
+    ``failures``, an error with its message.
+    """
+    selectors = [_parse_selector(s, "outputs") for s in sweep.outputs]
+    rows = [[sweep.parameter_path, *sweep.outputs, "status"]]
+    for value, point in zip(sweep.values, sweep.points):
+        cells = [repr(value)]  # a JSON integer as written, a float as in reports
         try:
-            _set_path(tree, sweep.parameter_path, value)
-            scenario = parse_scenario(tree)
-            scenario = replace(
-                scenario, outputs=tuple(sorted(set(scenario.outputs) | set(needed))), mc=None
-            )
-            result = execute_scenario(scenario, compute_convergence=False)
+            result = execute_scenario(point, compute_convergence=False)
         except (
-            ScenarioParseError,
             ConfigurationError,
             DegenerateInputError,
             NumericalDomainError,
             ContractViolationError,
         ) as exc:
-            rows.append(cells + [""] * len(selectors) + [f"error:{type(exc).__name__}"])
-            continue
-        for (quantity, component), _ in selectors:
-            value_obj = result.results[quantity]
-            if component is None:
-                cells.append(_format_float(value_obj.entropy_bits))
-            else:
-                i, j, part = component
-                entry = value_obj.entries[i, j]
-                cells.append(_format_float(entry.real if part == "re" else entry.imag))
-        rows.append(cells + ["ok"])
+            status = f"error:{type(exc).__name__}"
+            rows.append(cells + [""] * len(selectors) + [status])
+            reason = f"{status}: {exc}"
+        else:
+            for quantity, component in selectors:
+                value_obj = result.results[quantity]
+                if component is None:
+                    cells.append(_format_float(value_obj.entropy_bits))
+                else:
+                    i, j, part = component
+                    entry = value_obj.entries[i, j]
+                    cells.append(_format_float(entry.real if part == "re" else entry.imag))
+            failed = result.failed_quantities
+            status = reason = f"fail:{failed[0]}" if failed else "ok"
+            rows.append(cells + [status])
+        if status != "ok" and failures is not None:
+            failures.append(f"point {cells[0]}: {reason}")
     return rows
-
-
-def _set_path(tree: dict, path: str, value: Any) -> None:
-    """Set a dotted path, which parse_sweep checked against the base scenario."""
-    *parents, leaf = path.split(".")
-    for key in parents:
-        tree = tree[key]
-    tree[leaf] = value
 
 
 # ---------------------------------------------------------------------------
@@ -659,16 +664,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    tree = load_input(args.sweep)
-    sweep = parse_sweep(tree)
-    rows = execute_sweep(sweep)
+    sweep = parse_sweep(load_input(args.sweep))
+    failures: list[str] = []
+    rows = execute_sweep(sweep, failures)
     out_path = Path(args.out) if args.out else Path(f"{sweep.name}.csv")
     write_csv(rows, out_path)
-    failures = [row for row in rows[1:] if row[-1] != "ok"]
-    for row in failures:
-        print(f"point {row[0]}: {row[-1]}")
+    for line in failures:
+        print(line)
     print(f"table: {out_path}")
-    return 0 if not failures else 1
+    return 1 if failures else 0
 
 
 def _cmd_list_scenarios(_: argparse.Namespace) -> int:

@@ -68,6 +68,14 @@ class McEstimate:
         if np.any(self.std_error < 0.0):
             raise ConfigurationError("standard errors must be non-negative")
 
+    def sigma_distance(self, reference: np.ndarray) -> np.ndarray:
+        """Per-entry distance of ``reference`` from the estimate in standard
+        errors: 0 where they agree exactly, infinite where any other gap
+        meets a zero standard error."""
+        gap = np.abs(reference - self.value)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(gap == 0.0, 0.0, gap / self.std_error)
+
 
 def oracle_helicity_matrix_theta_independent() -> DensityMatrix2:
     """Helicity reduction of any z-polarized, direction-independent packet."""

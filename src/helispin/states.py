@@ -8,8 +8,8 @@ and (1, 1, n_phi). Mesh evaluations are checked by the grid and cached per
 (state, grid) pair through a weak mapping, capped by array size;
 ``normalize`` hands its cached evaluation on to the normalized state.
 
-A radially separable state (every built-in one) also carries a
-:class:`ProductForm`. :func:`on_grid` is the one place that picks a layout:
+A radially separable state (every built-in one) has a :class:`ProductForm`
+as its amplitude. :func:`on_grid` is the one place that picks a layout:
 a product state is laid out on the (theta, phi) sub-grid with its radial sum
 factored out, any other state on the full mesh. Norms and reductions both
 read that layout.
@@ -68,17 +68,27 @@ class ProductForm:
     radial: Callable[[np.ndarray], np.ndarray]
     angular: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+    def __call__(self, p, theta, phi):
+        """The amplitude: radial factor times each angular component."""
+        radial = np.asarray(self.radial(p), dtype=np.complex128)
+        up, down = self.angular(theta, phi)
+        return radial * up, radial * down
+
 
 @dataclass(frozen=True, eq=False)
 class OneParticleState:
     basis: Basis
-    amplitude: AmplitudeFn
+    amplitude: AmplitudeFn  # a ProductForm when the state is radially separable
     label: str = ""
     family_params: Mapping[str, float] = field(default_factory=dict)
-    product: ProductForm | None = None
     _mesh_cache: "weakref.WeakKeyDictionary" = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
+
+    @property
+    def product(self) -> ProductForm | None:
+        """The amplitude if it is radially separable, else None."""
+        return self.amplitude if isinstance(self.amplitude, ProductForm) else None
 
     @property
     def characteristic_width(self) -> float:
@@ -154,42 +164,16 @@ def norm_squared(state: OneParticleState, grid: QuadratureGrid) -> float:
     return float(measure(np.abs(up) ** 2 + np.abs(down) ** 2))
 
 
-def _assemble(
-    basis: Basis,
-    product: ProductForm,
-    label: str,
-    family_params: Mapping[str, float],
-) -> OneParticleState:
-    """State whose evaluator is built from (and stays consistent with) a
-    product form."""
-
-    def amp(p, theta, phi):
-        radial = np.asarray(product.radial(p), dtype=np.complex128)
-        up, down = product.angular(theta, phi)
-        return radial * up, radial * down
-
-    return OneParticleState(
-        basis=basis,
-        amplitude=amp,
-        label=label,
-        family_params=family_params,
-        product=product,
-    )
-
-
 def normalize(state: OneParticleState, grid: QuadratureGrid) -> OneParticleState:
     """Rescale so the squared norm on this grid is 1 (idempotent)."""
     n2 = norm_squared(state, grid)
     if n2 <= 0.0:
         raise DegenerateInputError("cannot normalize a zero-norm state")
     scale = 1.0 / np.sqrt(n2)
-    if state.product is not None:
-        inner_radial = state.product.radial
-        product = ProductForm(
-            radial=lambda p: scale * np.asarray(inner_radial(p), dtype=np.complex128),
-            angular=state.product.angular,
-        )
-        return _assemble(state.basis, product, state.label, state.family_params)
+    pf = state.product
+    if pf is not None:
+        radial = lambda p: scale * np.asarray(pf.radial(p), dtype=np.complex128)
+        return replace(state, amplitude=ProductForm(radial, pf.angular))
     inner = state.amplitude
 
     def scaled(p, theta, phi):
@@ -217,13 +201,13 @@ def with_basis(state: OneParticleState, basis: Basis) -> OneParticleState:
     transform = (
         spin_components_to_helicity if state.basis == SPIN else helicity_components_to_spin
     )
-    if state.product is not None:
-        pf = state.product
+    pf = state.product
+    if pf is not None:
 
         def angular(theta, phi):
             return transform(*pf.angular(theta, phi), theta, phi)
 
-        return _assemble(basis, ProductForm(pf.radial, angular), state.label, state.family_params)
+        return replace(state, basis=basis, amplitude=ProductForm(pf.radial, angular))
     inner = state.amplitude
 
     def converted(p, theta, phi):
@@ -255,9 +239,9 @@ def _gaussian_radial(tau: float) -> Callable[[np.ndarray], np.ndarray]:
 def _gaussian(basis: Basis, tau: float, name: str) -> OneParticleState:
     if not (tau > 0.0):
         raise ConfigurationError(f"tau must be positive, got {tau}")
-    return _assemble(
+    return OneParticleState(
         basis=basis,
-        product=ProductForm(_gaussian_radial(tau), _up_only()),
+        amplitude=ProductForm(_gaussian_radial(tau), _up_only()),
         label=f"{name}(tau={tau:g})",
         family_params={"tau": float(tau), "characteristic_width": float(tau)},
     )
@@ -294,9 +278,9 @@ def theta_independent_spin_up(
         raise ConfigurationError(f"azimuthal_winding must be an integer, got {azimuthal_winding}")
     k = int(k)
     winding = None if k == 0 else (lambda theta, phi: np.exp(1j * k * np.asarray(phi)))
-    return _assemble(
+    return OneParticleState(
         basis=SPIN,
-        product=ProductForm(radial_profile, _up_only(winding)),
+        amplitude=ProductForm(radial_profile, _up_only(winding)),
         label=f"theta_independent_spin_up(k={k})",
         family_params={
             "azimuthal_winding": float(k),
@@ -318,9 +302,9 @@ def anisotropic_spin_up(tau: float, alpha: float) -> OneParticleState:
     if not (abs(alpha) <= 1.0):
         raise ConfigurationError(f"alpha must lie in [-1, 1], got {alpha}")
     a = float(alpha)
-    return _assemble(
+    return OneParticleState(
         basis=SPIN,
-        product=ProductForm(
+        amplitude=ProductForm(
             _gaussian_radial(tau), _up_only(lambda theta, phi: np.sqrt(1.0 + a * np.cos(theta)))
         ),
         label=f"anisotropic_spin_up(tau={tau:g}, alpha={a:g})",

@@ -298,7 +298,7 @@ def test_sweep_empty_values_exit_2(tmp_path, capsys):
     assert "parameter.values[1]: must be a finite number" in capsys.readouterr().err
 
 
-def test_sweep_records_point_errors(tmp_path):
+def test_sweep_records_point_errors(tmp_path, capsys):
     sweep = {
         "schema_version": 1,
         "name": "partial",
@@ -317,13 +317,61 @@ def test_sweep_records_point_errors(tmp_path):
     assert lines[1].endswith(",ok")
     assert lines[2].endswith("error:ConfigurationError")
     assert lines[2].split(",")[1] == ""  # failed point has empty cells
-    # values are set as given, so a sweep over an integer grid field runs
+    # the printed line keeps the reason that the table's cell leaves out
+    assert ("point 2.0: error:ConfigurationError: alpha must lie in [-1, 1], got 2.0"
+            in capsys.readouterr().out)
+    # values are set as given, so a sweep over an integer grid field runs,
+    # and its integers are written as integers
     sweep["scenario"]["grid"] = {"n_theta": 32}
     sweep["parameter"] = {"path": "grid.n_theta", "values": [8, 16, 32]}
     path = _write(tmp_path, "n_theta.json", sweep)
     assert main(["sweep", str(path), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 4 and all(line.endswith(",ok") for line in lines[1:])
+    assert [line.split(",")[0] for line in lines[1:]] == ["8", "16", "32"]
+    # every point is parsed before any runs: a count above the cap is an
+    # input error with its reason
+    sweep["parameter"]["values"] = [8, 1000]
+    path = _write(tmp_path, "too_many.json", sweep)
+    assert main(["sweep", str(path), "--out", str(out)]) == 2
+    assert "grid.n_theta: must be at most 512" in capsys.readouterr().err
+
+
+def test_sweep_rows_run_the_base_checks(tmp_path, capsys):
+    """Each row is the base scenario at its value, checks included: at
+    alpha = 1 the theta-independent matrix misses by 1/6."""
+    sweep = {
+        "schema_version": 1,
+        "name": "checked",
+        "scenario": {
+            "schema_version": 1,
+            "name": "point",
+            "state": {"family": "anisotropic_spin_up", "params": {"tau": 1.0, "alpha": 0.0}},
+            "outputs": ["helicity_density"],
+            "checks": [{"quantity": "helicity_density",
+                        "reference": "theta_independent_helicity_matrix", "tol": 1e-8}],
+        },
+        "parameter": {"path": "state.params.alpha", "values": [0.0, 1.0]},
+        "outputs": ["helicity_density[0][0].re"],
+    }
+    out = tmp_path / "checked.csv"
+    assert main(["sweep", str(_write(tmp_path, "checked.json", sweep)), "--out", str(out)]) == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "fail:helicity_density"]
+    assert abs(float(rows[1][1]) - 2.0 / 3.0) <= 1e-8  # failed rows keep their cells
+    assert "point 1.0: fail:helicity_density" in capsys.readouterr().out
+
+
+def test_sweep_selector_must_be_computed(tmp_path, capsys):
+    sweep = {
+        "schema_version": 1,
+        "name": "uncomputed",
+        "scenario": bundled_scenarios()["eq11_entropy"],
+        "parameter": {"path": "state.params.tau", "values": [1.0]},
+        "outputs": ["spin_density[0][0].re"],
+    }
+    assert main(["sweep", str(_write(tmp_path, "uncomputed.json", sweep))]) == 2
+    assert "sweep.outputs[0]: 'spin_density' is not computed" in capsys.readouterr().err
 
 
 def test_list_scenarios(capsys):
@@ -384,6 +432,7 @@ def test_grid_spec_resolves_width_scaled_r_max():
 def test_sweep_parameter_path_must_exist():
     # the path heads the table's first column, so a comma would add a cell
     for path, message in (("state.missing.tau", "does not address"),
+                          ("state.params.tua", "does not address"),
                           ("state.params.tau,x", "must be dot-separated identifiers")):
         with pytest.raises(ScenarioParseError, match=f"sweep.parameter.path: .*{message}"):
             parse_sweep(
@@ -427,7 +476,7 @@ _FUZZ_BASES = (
         "schema_version": 1,
     },
     {
-        "outputs": ["helicity_entropy", "spin_density[0][1].im"],
+        "outputs": ["helicity_entropy", "helicity_density[0][1].im"],
         "parameter": {"path": "state.params.p_max", "values": [1.0, 2.5]},
         "scenario": _FUZZ_SHELL,
         "name": "fuzz_sweep",

@@ -227,8 +227,8 @@ def test_mesh_and_product_paths_agree(small_grid):
         product_state = hs.normalize(hs.anisotropic_spin_up(1.0, 0.8), grid)
         stripped = OneParticleState(
             basis=product_state.basis,
-            amplitude=product_state.amplitude,
-            label="no product tag",
+            amplitude=lambda p, theta, phi, pf=product_state.amplitude: pf(p, theta, phi),
+            label="no product form",
         )
         fast = hs.reduced_helicity_density(product_state, grid).entries
         generic = hs.reduced_helicity_density(stripped, grid).entries

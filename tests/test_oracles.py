@@ -57,6 +57,24 @@ def test_mc_shard_count_does_not_change_bits():
         assert np.array_equal(reference.std_error, other.std_error)
 
 
+def test_mc_product_form_matches_bare_evaluator():
+    """The Monte-Carlo path reads the same amplitude as the quadrature: a
+    family state and a bare evaluator over its ProductForm give the same bits."""
+    family = hs.anisotropic_spin_up(1.0, 0.7)
+    pf = family.product
+    bare = OneParticleState(
+        basis=family.basis,
+        amplitude=lambda p, theta, phi: pf(p, theta, phi),
+        family_params=family.family_params,
+    )
+    assert bare.product is None
+    a = mc_density(family, hs.HELICITY, 20_000, seed=5)
+    b = mc_density(bare, hs.HELICITY, 20_000, seed=5)
+    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(a.std_error, b.std_error)
+    assert a.ess == b.ess
+
+
 @pytest.mark.parametrize(
     "state_fn,target,expected",
     [

@@ -211,6 +211,19 @@ def test_non_finite_amplitude_reported(small_grid):
         state.components_on(small_grid)
 
 
+def test_product_form_is_the_amplitude():
+    state = hs.anisotropic_spin_up(1.0, 0.5)
+    assert state.product is state.amplitude
+    p, theta, phi = np.array([0.3, 1.7]), np.array([0.2, 2.9]), np.array([1.0, 5.0])
+    radial = state.product.radial(p)
+    up, down = state.product.angular(theta, phi)
+    np.testing.assert_array_equal(state.amplitude(p, theta, phi)[0], radial * up)
+    np.testing.assert_array_equal(state.amplitude(p, theta, phi)[1], radial * down)
+    # a state cannot carry a product form beside a disagreeing amplitude
+    with pytest.raises(TypeError):
+        OneParticleState(basis=hs.SPIN, amplitude=lambda p, t, f: (p, p), product=state.product)
+
+
 def test_radial_values_validates(small_grid):
     state = hs.gaussian_spin_up(1.0)
     vals = radial_values(state.product, small_grid)
