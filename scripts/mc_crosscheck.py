@@ -18,7 +18,7 @@ def _theta_independent(profile: str, winding: int = 0, **params) -> hs.OnePartic
     return hs.theta_independent_spin_up(radial, winding, width)
 
 
-def _generic_state() -> hs.OneParticleState:
+def generic_state() -> hs.OneParticleState:
     """A helicity state whose angular modulation depends on p: no product form."""
 
     def amp(p, theta, phi):
@@ -43,7 +43,7 @@ CASES = [
      _theta_independent("shell"), hs.HELICITY, 13),
     ("theta_independent(gaussian, winding 2) -> helicity",
      _theta_independent("gaussian", 2), hs.HELICITY, 14),
-    ("generic helicity state -> spin", _generic_state(), hs.SPIN, 15),
+    ("generic helicity state -> spin", generic_state(), hs.SPIN, 15),
 ]
 
 

@@ -3,16 +3,41 @@
 
 The two density scenarios also get a 10^6-sample Monte-Carlo cross-check
 with fixed seeds, so the whole script doubles as an end-to-end smoke test.
+It also writes generic_state.json: the non-separable state of
+mc_crosscheck.py reduced on the mesh path in both bases, directly and after
+``with_basis``, and its seeded Monte-Carlo estimates, so that
+compare_outputs.py sees the mesh path and the su2 transforms bit for bit.
 """
 import sys
 from pathlib import Path
 
-from helispin.cli import bundled_scenarios, main
+import helispin as hs
+from helispin.cli import bundled_scenarios, dumps_deterministic, main
+from mc_crosscheck import generic_state
 
 MC_OVERRIDES = {
     "eq10_theta_independent": "1000000,20260808",
     "eq15_isotropic_helicity": "1000000,31415926",
 }
+GENERIC_MC = (100_000, 20261020)
+
+
+def generic_state_tree() -> dict:
+    """The generic state's reductions and Monte-Carlo estimates, by basis."""
+    state = generic_state()  # stored in the helicity basis
+    grid = hs.build_grid(r_max=8.0 * state.characteristic_width)
+    direct = hs.normalize(state, grid)
+    converted = hs.normalize(hs.with_basis(state, hs.SPIN), grid)
+    tree = {}
+    for basis, reduce in ((hs.SPIN, hs.reduced_spin_density),
+                          (hs.HELICITY, hs.reduced_helicity_density)):
+        estimate = hs.mc_density(state, basis, *GENERIC_MC)
+        tree[basis] = {
+            "direct": reduce(direct, grid),
+            "with_basis": reduce(converted, grid),
+            "mc": {"value": estimate.value, "std_error": estimate.std_error},
+        }
+    return tree
 
 
 def run(out_dir: Path) -> int:
@@ -29,6 +54,9 @@ def run(out_dir: Path) -> int:
         rc = main(args)
         print(f"-> exit {rc}\n")
         worst = max(worst, rc)
+    path = out_dir / "generic_state.json"
+    path.write_text(dumps_deterministic(generic_state_tree()), encoding="utf-8", newline="\n")
+    print(f"generic state: {path}")
     return worst
 
 

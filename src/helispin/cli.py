@@ -241,7 +241,8 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
     state_node = tree.get("state")
     _expect(isinstance(state_node, dict), f"{where}.state", "must be an object")
     family = state_node.get("family")
-    _expect(isinstance(family, str), f"{where}.state.family", "must be a string")
+    _expect(isinstance(family, str) and family in FAMILIES, f"{where}.state.family",
+            f"must be one of {sorted(FAMILIES)}, got {family!r}")
     params = state_node.get("params", {})
     _expect(isinstance(params, dict), f"{where}.state.params", "must be an object")
     for key, value in params.items():
@@ -283,7 +284,8 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
         n = node.get("n_samples")
         seed = node.get("seed")
         _expect(_is_int(n) and n >= 100, f"{mw}.n_samples", "must be an integer >= 100")
-        _expect(_is_int(seed) and seed >= 0, f"{mw}.seed", "must be a non-negative integer")
+        _expect(_is_int(seed) and 0 <= seed < 2**64, f"{mw}.seed",
+                "must be an integer in [0, 2**64)")
         _expect(any(q.endswith("_density") for q in outputs), mw,
                 "mc requires at least one density output")
         mc = McSpec(n_samples=n, seed=seed)
@@ -372,28 +374,31 @@ def _parse_selector(selector: str, where: str):
 # Execution
 # ---------------------------------------------------------------------------
 
+def _theta_independent(profile: str = "gaussian", winding: Any = 0, **params: Any):
+    """``theta_independent_spin_up`` with a named radial profile and its params."""
+    radial, width = radial_profile(profile, **params)
+    return theta_independent_spin_up(radial, azimuthal_winding=winding, characteristic_width=width)
+
+
+#: Scenario family name -> constructor called with the scenario's params.
+FAMILIES: dict[str, Any] = {
+    "gaussian_spin_up": gaussian_spin_up,
+    "gaussian_helicity_up": gaussian_helicity_up,
+    "anisotropic_spin_up": anisotropic_spin_up,
+    "theta_independent_spin_up": _theta_independent,
+}
+
+
 def build_state(family: str, params: dict[str, Any]) -> OneParticleState:
     """Construct a built-in family from its scenario parameters."""
-    params = dict(params)
+    if family not in FAMILIES:
+        raise ConfigurationError(f"unknown state family {family!r}")
     try:
-        if family == "gaussian_spin_up":
-            return gaussian_spin_up(**params)
-        if family == "gaussian_helicity_up":
-            return gaussian_helicity_up(**params)
-        if family == "anisotropic_spin_up":
-            return anisotropic_spin_up(**params)
-        if family == "theta_independent_spin_up":
-            profile_name = params.pop("profile", "gaussian")
-            winding = params.pop("winding", 0)
-            profile, width = radial_profile(profile_name, **params)
-            return theta_independent_spin_up(
-                profile, azimuthal_winding=winding, characteristic_width=width
-            )
+        return FAMILIES[family](**params)
     except ConfigurationError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:  # wrong keywords, type or range
         raise ConfigurationError(f"bad parameters for family {family!r}: {exc}") from exc
-    raise ConfigurationError(f"unknown state family {family!r}")
 
 
 def _computed(outputs: Sequence[str]) -> set[str]:

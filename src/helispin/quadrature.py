@@ -147,19 +147,21 @@ class QuadratureGrid:
     def _checked_mesh(self, values, what: str, rows: slice = slice(None)) -> np.ndarray:
         """``values`` evaluated on the radial ``rows`` of the mesh, as given,
         once they broadcast to those rows and are finite; otherwise an error
-        naming the first bad node by global flat index and (p, theta, phi)."""
+        naming the first bad node by global flat index and (p, theta, phi).
+        Finiteness is tested on the values as evaluated, at their own size."""
         start, stop, _ = rows.indices(self.n_r)
         shape = (stop - start, self.n_theta, self.n_phi)
         values = np.asarray(values)
         try:
-            bad = np.broadcast_to(~np.isfinite(values), shape)
+            np.broadcast_to(values, shape)
         except ValueError:
             raise ConfigurationError(
                 f"{what} of shape {values.shape} does not broadcast to the mesh {shape}"
             ) from None
-        if not np.any(bad):
+        finite = np.isfinite(values)
+        if np.all(finite):
             return values
-        i = int(np.argmax(bad))
+        i = int(np.argmax(np.broadcast_to(~finite, shape)))
         r, t, k = np.unravel_index(i, shape)
         raise NumericalDomainError(
             f"{what} is not finite at node {start * shape[1] * shape[2] + i} (p="
@@ -242,11 +244,9 @@ def build_grid(
     )
 
 
-def refine(grid: QuadratureGrid, factor: int = 2) -> QuadratureGrid:
-    """Same rule with all three counts multiplied by ``factor``."""
-    return build_grid(
-        grid.n_r * factor, grid.n_theta * factor, grid.n_phi * factor, grid.r_max
-    )
+def refine(grid: QuadratureGrid) -> QuadratureGrid:
+    """Same rule with all three counts doubled."""
+    return build_grid(2 * grid.n_r, 2 * grid.n_theta, 2 * grid.n_phi, grid.r_max)
 
 
 ScalarField = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]

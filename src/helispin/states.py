@@ -35,11 +35,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    NumericalDomainError,
-)
+from .errors import ConfigurationError, DegenerateInputError
 from .quadrature import QuadratureGrid
 from .su2 import (
     SPIN,
@@ -124,38 +120,30 @@ class OneParticleState:
         return up, down
 
 
-def radial_values(product: ProductForm, grid: QuadratureGrid) -> np.ndarray:
-    """The radial factor on the grid's radial nodes, validated finite."""
-    vals = np.asarray(product.radial(grid.radial_nodes), dtype=np.complex128)
-    vals = np.broadcast_to(vals, grid.radial_nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalDomainError("radial factor is not finite on the grid")
-    return vals
-
-
 def on_grid(state: OneParticleState, grid: QuadratureGrid):
     """The state laid out for a grid sum: ``(up, down, theta, phi, measure)``.
 
-    A product state gives its angular pair on the (theta, phi) sub-grid,
-    validated finite, and a ``measure`` that multiplies the angular sum by
-    the radial sum of |radial|^2. Any other state gives its components on
-    the mesh and ``grid.mesh_sum``. ``theta`` and ``phi`` broadcast against
-    the components, so a basis change can rotate them node by node, and
-    ``measure`` reduces any array of their shape.
+    A product state gives its angular pair on the (theta, phi) sub-grid and a
+    ``measure`` that multiplies the angular sum by the radial sum of
+    |radial|^2. Any other state gives its components on the mesh and
+    ``grid.mesh_sum``. Every evaluated factor passes the grid's mesh check.
+    ``theta`` and ``phi`` broadcast against the components, so a basis change
+    can rotate them node by node, and ``measure`` reduces any array of their
+    shape.
     """
-    if state.product is None:
+    pf = state.product
+    if pf is None:
         up, down = state.components_on(grid)
         return up, down, grid.theta_mesh, grid.phi_mesh, grid.mesh_sum
-    radial = radial_values(state.product, grid)
+    radial = grid._checked_mesh(
+        np.asarray(pf.radial(grid.p_mesh), dtype=np.complex128), "radial factor"
+    )
     theta, phi = grid.theta_mesh[0], grid.phi_mesh[0]
-    pair = state.product.angular(theta, phi)
-    out = []
-    for vals, name in zip(pair, ("up", "down")):
-        vals = np.broadcast_to(np.asarray(vals, dtype=np.complex128), (grid.n_theta, grid.n_phi))
-        if not np.all(np.isfinite(vals)):
-            raise NumericalDomainError(f"angular {name} factor is not finite on the grid")
-        out.append(vals)
-    return out[0], out[1], theta, phi, partial(grid.product_sum, np.abs(radial) ** 2)
+    up, down = (
+        grid._checked_mesh(np.asarray(vals, dtype=np.complex128), f"angular {name} factor")
+        for vals, name in zip(pf.angular(theta, phi), ("up", "down"))
+    )
+    return up, down, theta, phi, partial(grid.product_sum, np.abs(radial.ravel()) ** 2)
 
 
 def norm_squared(state: OneParticleState, grid: QuadratureGrid) -> float:

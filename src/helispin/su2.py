@@ -9,6 +9,8 @@ represented on two-spinors by
 Spin-basis amplitudes transform into helicity-basis ones with the inverse
 rotation, and back with the rotation itself. The inverse is always taken as
 the conjugate transpose (D is exactly unitary), never a generic inverse.
+The entries of D are written once, in ``_rotation``; the matrix, both
+vectorized transforms and both pointwise converters are built from them.
 """
 from __future__ import annotations
 
@@ -40,6 +42,16 @@ class AmplitudePair:
             raise ConfigurationError("amplitude components must be finite")
 
 
+def _rotation(theta, phi):
+    """The entries (d00, d01, d10, d11) of D(theta, phi) for scalar or array
+    angles; array entries broadcast against each other."""
+    half = 0.5 * np.asarray(theta, dtype=np.float64)
+    c, s = np.cos(half), np.sin(half)
+    e_minus = np.exp(-0.5j * np.asarray(phi, dtype=np.float64))
+    e_plus = np.conj(e_minus)
+    return e_minus * c, -e_minus * s, e_plus * s, e_plus * c
+
+
 def wigner_rotation(theta: float, phi: float) -> np.ndarray:
     """The 2x2 unitary rotating the spin quantization axis into (theta, phi).
 
@@ -47,65 +59,43 @@ def wigner_rotation(theta: float, phi: float) -> np.ndarray:
     is still returned as written, but the azimuthal phase there is purely
     conventional (the direction does not single out an azimuth).
     """
-    if not (0.0 <= theta <= np.pi):
-        raise ConfigurationError(f"theta must lie in [0, pi], got {theta}")
-    if not (0.0 <= phi < 2.0 * np.pi):
-        raise ConfigurationError(f"phi must lie in [0, 2*pi), got {phi}")
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    e_minus = np.exp(-0.5j * phi)
-    e_plus = np.exp(0.5j * phi)
-    return np.array(
-        [[e_minus * c, -e_minus * s], [e_plus * s, e_plus * c]], dtype=np.complex128
-    )
-
-
-def _half_angle_factors(theta, phi):
-    """cos(theta/2), sin(theta/2), exp(-i*phi/2) for scalar or array input."""
-    half = 0.5 * np.asarray(theta, dtype=np.float64)
-    e_minus = np.exp(-0.5j * np.asarray(phi, dtype=np.float64))
-    return np.cos(half), np.sin(half), e_minus
+    Momentum(0.0, theta, phi)  # validates the angles
+    d00, d01, d10, d11 = _rotation(theta, phi)
+    return np.array([[d00, d01], [d10, d11]], dtype=np.complex128)
 
 
 def spin_components_to_helicity(up, down, theta, phi):
-    """Vectorized inverse-rotation transform of spin components.
+    """Vectorized inverse-rotation transform of spin components: applies the
+    conjugate transpose of D at each (theta, phi).
 
-    Applies the conjugate transpose of the rotation at each (theta, phi):
-        up'   =  exp(+i*phi/2)*cos(theta/2)*up + exp(-i*phi/2)*sin(theta/2)*down
-        down' = -exp(+i*phi/2)*sin(theta/2)*up + exp(-i*phi/2)*cos(theta/2)*down
+    D is in SU(2), so its conjugate transpose [[d11, -d01], [-d10, d00]] is
+    read off its entries: d11 = conj(d00) and d10 = -conj(d01) bit for bit.
     """
-    c, s, e_minus = _half_angle_factors(theta, phi)
-    e_plus = np.conj(e_minus)
-    return (
-        e_plus * c * up + e_minus * s * down,
-        -e_plus * s * up + e_minus * c * down,
-    )
+    d00, d01, d10, d11 = _rotation(theta, phi)
+    return d11 * up - d01 * down, d00 * down - d10 * up
 
 
 def helicity_components_to_spin(up, down, theta, phi):
-    """Vectorized rotation transform of helicity components (exact inverse
-    of :func:`spin_components_to_helicity`)."""
-    c, s, e_minus = _half_angle_factors(theta, phi)
-    e_plus = np.conj(e_minus)
-    return (
-        e_minus * c * up - e_minus * s * down,
-        e_plus * s * up + e_plus * c * down,
-    )
+    """Vectorized rotation transform of helicity components: applies D at
+    each (theta, phi), the exact inverse of :func:`spin_components_to_helicity`."""
+    d00, d01, d10, d11 = _rotation(theta, phi)
+    return d00 * up + d01 * down, d10 * up + d11 * down
+
+
+def _convert(a: AmplitudePair, direction: Momentum, source: Basis, target: Basis,
+             transform) -> AmplitudePair:
+    if a.basis != source:
+        raise ContractViolationError(f"expected a {source}-tagged pair, got {a.basis!r}")
+    up, down = transform(a.up, a.down, direction.theta, direction.phi)
+    return AmplitudePair(up=complex(up), down=complex(down), basis=target)
 
 
 def spin_to_helicity(a: AmplitudePair, direction: Momentum) -> AmplitudePair:
     """Re-express a spin-tagged amplitude pair in the helicity basis along
     the given momentum direction."""
-    if a.basis != SPIN:
-        raise ContractViolationError(f"expected a spin-tagged pair, got {a.basis!r}")
-    up, down = spin_components_to_helicity(a.up, a.down, direction.theta, direction.phi)
-    return AmplitudePair(up=complex(up), down=complex(down), basis=HELICITY)
+    return _convert(a, direction, SPIN, HELICITY, spin_components_to_helicity)
 
 
 def helicity_to_spin(a: AmplitudePair, direction: Momentum) -> AmplitudePair:
     """Re-express a helicity-tagged amplitude pair in the spin basis."""
-    if a.basis != HELICITY:
-        raise ContractViolationError(
-            f"expected a helicity-tagged pair, got {a.basis!r}"
-        )
-    up, down = helicity_components_to_spin(a.up, a.down, direction.theta, direction.phi)
-    return AmplitudePair(up=complex(up), down=complex(down), basis=SPIN)
+    return _convert(a, direction, HELICITY, SPIN, helicity_components_to_spin)

@@ -57,7 +57,7 @@ def test_convergence_metadata_below_check_tolerance(tmp_path):
     assert refined["n_theta"] == 2 * report["grid"]["n_theta"]
 
 
-def test_unknown_family_exit_2_no_report(tmp_path):
+def test_unknown_family_exit_2_no_report(tmp_path, capsys):
     scenario = {
         "schema_version": 1,
         "name": "bogus",
@@ -68,6 +68,19 @@ def test_unknown_family_exit_2_no_report(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+    # a sweep's base is parsed as a scenario, so its family is an input error too
+    sweep = {
+        "schema_version": 1,
+        "name": "bogus_sweep",
+        "scenario": {**scenario, "state": {"family": "no_such_family", "params": {"tau": 1.0}}},
+        "parameter": {"path": "state.params.tau", "values": [1.0]},
+        "outputs": ["spin_density[0][0].re"],
+    }
+    table = tmp_path / "table.csv"
+    capsys.readouterr()
+    assert main(["sweep", str(_write(tmp_path, "sweep.json", sweep)), "--out", str(table)]) == 2
+    assert "sweep.scenario.state.family" in capsys.readouterr().err
+    assert not table.exists()
 
 
 def test_invalid_json_exit_2(tmp_path, capsys):
@@ -204,7 +217,7 @@ def test_unwritable_report_exit_4(tmp_path):
     assert main(["sweep", "eq12_tau_sweep", "--out", str(blocker / "t.csv")]) == 4
 
 
-def test_grid_and_mc_overrides(tmp_path):
+def test_grid_and_mc_overrides(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(
         ["run", "eq10_theta_independent", "--out", str(out),
@@ -219,8 +232,12 @@ def test_grid_and_mc_overrides(tmp_path):
     # the flags are scenario fields and pass the same schema checks
     for grid in ("2.5,32,32,8.0", "32,32,32", "32,32,32,x", "true,32,32,8.0", "513,8,8,8.0"):
         assert main(["run", "eq10_theta_independent", "--grid", grid]) == 2
-    for mc in ("20000", "20000,-1", "20000,1.5"):
+    for mc, field in (("20000", "--mc"), ("20000,-1", "scenario.mc.seed"),
+                      ("20000,1.5", "scenario.mc.seed"),
+                      ("20000,18446744073709551616", "scenario.mc.seed")):
+        capsys.readouterr()
         assert main(["run", "eq10_theta_independent", "--mc", mc]) == 2
+        assert field in capsys.readouterr().err
     # every family has a Monte-Carlo cross-check, with its effective sample size
     tree = {
         "schema_version": 1,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import helispin as hs
 from helispin.errors import ConfigurationError, DegenerateInputError
-from helispin.states import OneParticleState, radial_values
+from helispin.states import OneParticleState, ProductForm
 
 from conftest import random_state
 
@@ -224,8 +224,18 @@ def test_product_form_is_the_amplitude():
         OneParticleState(basis=hs.SPIN, amplitude=lambda p, t, f: (p, p), product=state.product)
 
 
-def test_radial_values_validates(small_grid):
-    state = hs.gaussian_spin_up(1.0)
-    vals = radial_values(state.product, small_grid)
-    assert vals.shape == small_grid.radial_nodes.shape
-    assert np.all(np.isfinite(vals))
+def test_product_factors_pass_the_mesh_check(small_grid):
+    """A product state's factors get the grid's one evaluation check: a
+    non-finite radial value names its node, and an angular factor that does
+    not broadcast to the grid is an input error."""
+    k = 3
+    bad_p = small_grid.radial_nodes[k]
+    radial = lambda p: np.where(p == bad_p, np.nan, np.exp(-p * p))
+    angular = hs.gaussian_spin_up(1.0).product.angular
+    state = OneParticleState(basis=hs.SPIN, amplitude=ProductForm(radial, angular))
+    node = k * small_grid.n_theta * small_grid.n_phi
+    with pytest.raises(hs.NumericalDomainError, match=f"radial factor is not finite at node {node} "):
+        hs.norm_squared(state, small_grid)
+    misshaped = ProductForm(np.exp, lambda theta, phi: (np.ones(3), np.zeros(3)))
+    with pytest.raises(ConfigurationError, match="angular up factor .* does not broadcast"):
+        hs.norm_squared(OneParticleState(basis=hs.SPIN, amplitude=misshaped), small_grid)
