@@ -12,10 +12,14 @@ import numpy as np
 import helispin as hs
 
 
-def _theta_independent(profile: str, winding: int = 0, **params) -> hs.OneParticleState:
-    """theta_independent_spin_up with a named radial profile."""
-    radial, width = hs.radial_profile(profile, **params)
-    return hs.theta_independent_spin_up(radial, winding, width)
+#: The theta_independent_spin_up cases: radial profile, its params, winding
+#: and seed.
+PROFILE_CASES = [
+    ("gaussian", {"tau": 2.0}, 0, 11),
+    ("linear_exp", {}, 0, 12),
+    ("shell", {}, 0, 13),
+    ("gaussian", {}, 2, 14),
+]
 
 
 def generic_state() -> hs.OneParticleState:
@@ -31,24 +35,27 @@ def generic_state() -> hs.OneParticleState:
     return hs.OneParticleState(basis=hs.HELICITY, amplitude=amp, label="generic")
 
 
-CASES = [
-    ("gaussian_spin_up -> helicity", hs.gaussian_spin_up(1.0), hs.HELICITY, 20260808),
-    ("gaussian_helicity_up -> spin", hs.gaussian_helicity_up(1.0), hs.SPIN, 31415926),
-    ("anisotropic(alpha=0.7) -> helicity", hs.anisotropic_spin_up(1.0, 0.7), hs.HELICITY, 424242),
-    ("theta_independent(gaussian, tau=2) -> helicity",
-     _theta_independent("gaussian", tau=2.0), hs.HELICITY, 11),
-    ("theta_independent(linear_exp) -> helicity",
-     _theta_independent("linear_exp"), hs.HELICITY, 12),
-    ("theta_independent(shell) -> helicity",
-     _theta_independent("shell"), hs.HELICITY, 13),
-    ("theta_independent(gaussian, winding 2) -> helicity",
-     _theta_independent("gaussian", 2), hs.HELICITY, 14),
-    ("generic helicity state -> spin", generic_state(), hs.SPIN, 15),
-]
+def cases() -> list:
+    """(label, state, target basis, seed) of every case."""
+    return [
+        ("gaussian_spin_up -> helicity", hs.gaussian_spin_up(1.0), hs.HELICITY, 20260808),
+        ("gaussian_helicity_up -> spin", hs.gaussian_helicity_up(1.0), hs.SPIN, 31415926),
+        ("anisotropic(alpha=0.7) -> helicity", hs.anisotropic_spin_up(1.0, 0.7), hs.HELICITY,
+         424242),
+        *(
+            (f"theta_independent({profile}, {params}, winding {winding}) -> helicity",
+             hs.states.build_state(
+                 "theta_independent_spin_up", {"profile": profile, "winding": winding, **params}
+             ),
+             hs.HELICITY, seed)
+            for profile, params, winding, seed in PROFILE_CASES
+        ),
+        ("generic helicity state -> spin", generic_state(), hs.SPIN, 15),
+    ]
 
 
 def main(n_samples: int = 1_000_000) -> None:
-    for label, state, target, seed in CASES:
+    for label, state, target, seed in cases():
         grid = hs.build_grid(r_max=8.0 * state.characteristic_width)
         reduce_fn = (
             hs.reduced_helicity_density if target == hs.HELICITY else hs.reduced_spin_density

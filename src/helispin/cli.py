@@ -33,12 +33,7 @@ from .errors import (
     NumericalDomainError,
     ScenarioParseError,
 )
-from .oracles import (
-    mc_density,
-    oracle_helicity_matrix_theta_independent,
-    oracle_spin_matrix_isotropic_helicity,
-    oracle_spin_up_helicity_entropy,
-)
+from .oracles import MAX_MC_SAMPLES, ORACLES, mc_density
 from .quadrature import (
     DEFAULT_N_PHI,
     DEFAULT_N_R,
@@ -48,15 +43,7 @@ from .quadrature import (
     build_grid,
     refine,
 )
-from .states import (
-    OneParticleState,
-    anisotropic_spin_up,
-    gaussian_helicity_up,
-    gaussian_spin_up,
-    normalize,
-    radial_profile,
-    theta_independent_spin_up,
-)
+from .states import FAMILIES, OneParticleState, build_state, normalize
 
 SCHEMA_VERSION = 1
 OUTPUT_QUANTITIES = ("spin_density", "helicity_density", "spin_entropy", "helicity_entropy")
@@ -65,15 +52,6 @@ MC_SIGMA_BOUND = 4.0
 #: Largest n_r, n_theta or n_phi a scenario may ask for. Each Gauss-Legendre
 #: rule costs O(n^2) time and memory, and the convergence pass doubles it.
 MAX_GRID_COUNT = 512
-
-#: Named references usable in scenario checks.
-ORACLES: dict[str, Any] = {
-    "theta_independent_helicity_matrix": oracle_helicity_matrix_theta_independent,
-    "isotropic_helicity_spin_matrix": oracle_spin_matrix_isotropic_helicity,
-    "spin_up_helicity_entropy": oracle_spin_up_helicity_entropy,
-    "maximally_mixed_entropy": lambda: 1.0,
-    "pure_state_entropy": lambda: 0.0,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +262,7 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
         n = node.get("n_samples")
         seed = node.get("seed")
         _expect(_is_int(n) and n >= 100, f"{mw}.n_samples", "must be an integer >= 100")
+        _expect(n <= MAX_MC_SAMPLES, f"{mw}.n_samples", f"must be at most {MAX_MC_SAMPLES}")
         _expect(_is_int(seed) and 0 <= seed < 2**64, f"{mw}.seed",
                 "must be an integer in [0, 2**64)")
         _expect(any(q.endswith("_density") for q in outputs), mw,
@@ -373,33 +352,6 @@ def _parse_selector(selector: str, where: str):
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
-
-def _theta_independent(profile: str = "gaussian", winding: Any = 0, **params: Any):
-    """``theta_independent_spin_up`` with a named radial profile and its params."""
-    radial, width = radial_profile(profile, **params)
-    return theta_independent_spin_up(radial, azimuthal_winding=winding, characteristic_width=width)
-
-
-#: Scenario family name -> constructor called with the scenario's params.
-FAMILIES: dict[str, Any] = {
-    "gaussian_spin_up": gaussian_spin_up,
-    "gaussian_helicity_up": gaussian_helicity_up,
-    "anisotropic_spin_up": anisotropic_spin_up,
-    "theta_independent_spin_up": _theta_independent,
-}
-
-
-def build_state(family: str, params: dict[str, Any]) -> OneParticleState:
-    """Construct a built-in family from its scenario parameters."""
-    if family not in FAMILIES:
-        raise ConfigurationError(f"unknown state family {family!r}")
-    try:
-        return FAMILIES[family](**params)
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:  # wrong keywords, type or range
-        raise ConfigurationError(f"bad parameters for family {family!r}: {exc}") from exc
-
 
 def _computed(outputs: Sequence[str]) -> set[str]:
     """The outputs and the densities their entropies are computed from."""

@@ -21,6 +21,7 @@ bit-identical regardless of how tiles would be sharded across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -49,6 +50,10 @@ _DRAWS_PER_SAMPLE = 5
 #: weights stay bounded. At 0.4 the radial ESS/n is 0.89 for a Gaussian,
 #: 0.85 for linear_exp and 0.34 for a shell; 0.5 gives less for all three.
 PROPOSAL_WIDTH = 0.4
+#: Largest sample count ``mc_density`` takes. Its tile sums are allocated up
+#: front, 192 bytes per tile of ``MC_TILE`` samples (47 MB at the cap), and
+#: the run time grows linearly: minutes at the cap.
+MAX_MC_SAMPLES = 10**9
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,17 @@ def oracle_spin_up_helicity_entropy() -> float:
     return von_neumann_entropy(oracle_helicity_matrix_theta_independent()).entropy_bits
 
 
+#: Named references usable in scenario checks: name -> a function of no
+#: arguments returning the reference matrix or entropy.
+ORACLES: dict[str, Callable[[], Any]] = {
+    "theta_independent_helicity_matrix": oracle_helicity_matrix_theta_independent,
+    "isotropic_helicity_spin_matrix": oracle_spin_matrix_isotropic_helicity,
+    "spin_up_helicity_entropy": oracle_spin_up_helicity_entropy,
+    "maximally_mixed_entropy": lambda: 1.0,
+    "pure_state_entropy": lambda: 0.0,
+}
+
+
 def _sample_tile(sigma: float, seed: int, tile_index: int, count: int):
     """Draw ``count`` momenta of tile ``tile_index`` from the fixed proposal."""
     rng = np.random.Generator(np.random.Philox(key=[seed, tile_index]))
@@ -128,6 +144,8 @@ def mc_density(
         raise ConfigurationError(f"unknown basis tag {target_basis!r}")
     if n_samples < 100:
         raise ConfigurationError(f"n_samples must be >= 100, got {n_samples}")
+    if n_samples > MAX_MC_SAMPLES:
+        raise ConfigurationError(f"n_samples must be at most {MAX_MC_SAMPLES}, got {n_samples}")
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
     if not (0 <= seed < 2**64):

@@ -25,17 +25,20 @@ Built-in families:
 * ``anisotropic_spin_up``: Gaussian radial profile with angular density
   proportional to 1 + alpha*cos(theta); demonstrates that isotropy is what
   makes the helicity reduction universal.
+
+Scenario files name these through ``FAMILIES`` and the radial profiles
+through ``PROFILES``; :func:`build_state` builds a family from its params.
 """
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError, DegenerateInputError, NumericalDomainError
 from .quadrature import QuadratureGrid
 from .su2 import (
     SPIN,
@@ -155,6 +158,8 @@ def norm_squared(state: OneParticleState, grid: QuadratureGrid) -> float:
 def normalize(state: OneParticleState, grid: QuadratureGrid) -> OneParticleState:
     """Rescale so the squared norm on this grid is 1 (idempotent)."""
     n2 = norm_squared(state, grid)
+    if not np.isfinite(n2):
+        raise NumericalDomainError(f"cannot normalize a state whose squared norm is {n2}")
     if n2 <= 0.0:
         raise DegenerateInputError("cannot normalize a zero-norm state")
     scale = 1.0 / np.sqrt(n2)
@@ -209,40 +214,37 @@ def with_basis(state: OneParticleState, basis: Basis) -> OneParticleState:
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def _up_only(factor: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
-    """The angular pair (factor, 0) of an "up" state; no factor means 1."""
+def _up_state(basis: Basis, radial: Callable, factor: Callable | None, label: str,
+              **family_params: float) -> OneParticleState:
+    """The state radial(p) * (factor(theta, phi), 0) in ``basis``; no factor
+    means 1."""
 
     def angular(theta, phi):
         ones = np.ones(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
         return (ones if factor is None else factor(theta, phi) * ones), np.zeros(ones.shape)
 
-    return angular
+    params = {key: float(value) for key, value in family_params.items()}
+    return OneParticleState(basis, ProductForm(radial, angular), label, params)
 
 
 def _gaussian_radial(tau: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The unit-norm Gaussian radial factor of width tau."""
+    if not (tau > 0.0):
+        raise ConfigurationError(f"tau must be positive, got {tau}")
     prefactor = np.pi ** (-0.75) * tau ** (-1.5)
     return lambda p: prefactor * np.exp(-(np.asarray(p) ** 2) / (2.0 * tau * tau))
 
 
-def _gaussian(basis: Basis, tau: float, name: str) -> OneParticleState:
-    if not (tau > 0.0):
-        raise ConfigurationError(f"tau must be positive, got {tau}")
-    return OneParticleState(
-        basis=basis,
-        amplitude=ProductForm(_gaussian_radial(tau), _up_only()),
-        label=f"{name}(tau={tau:g})",
-        family_params={"tau": float(tau), "characteristic_width": float(tau)},
-    )
-
-
 def gaussian_spin_up(tau: float) -> OneParticleState:
     """Isotropic Gaussian packet, spin-up along z, unit norm."""
-    return _gaussian(SPIN, tau, "gaussian_spin_up")
+    return _up_state(SPIN, _gaussian_radial(tau), None, f"gaussian_spin_up(tau={tau:g})",
+                     tau=tau, characteristic_width=tau)
 
 
 def gaussian_helicity_up(tau: float) -> OneParticleState:
     """Isotropic Gaussian packet in the +1/2 helicity eigenstate, unit norm."""
-    return _gaussian(HELICITY, tau, "gaussian_helicity_up")
+    return _up_state(HELICITY, _gaussian_radial(tau), None, f"gaussian_helicity_up(tau={tau:g})",
+                     tau=tau, characteristic_width=tau)
 
 
 def theta_independent_spin_up(
@@ -261,20 +263,12 @@ def theta_independent_spin_up(
         raise ConfigurationError(
             f"characteristic_width must be positive, got {characteristic_width}"
         )
-    k = float(azimuthal_winding)
-    if not k.is_integer():
-        raise ConfigurationError(f"azimuthal_winding must be an integer, got {azimuthal_winding}")
-    k = int(k)
+    if isinstance(azimuthal_winding, str) or not float(azimuthal_winding).is_integer():
+        raise ConfigurationError(f"azimuthal_winding must be an integer, got {azimuthal_winding!r}")
+    k = int(float(azimuthal_winding))
     winding = None if k == 0 else (lambda theta, phi: np.exp(1j * k * np.asarray(phi)))
-    return OneParticleState(
-        basis=SPIN,
-        amplitude=ProductForm(radial_profile, _up_only(winding)),
-        label=f"theta_independent_spin_up(k={k})",
-        family_params={
-            "azimuthal_winding": float(k),
-            "characteristic_width": float(characteristic_width),
-        },
-    )
+    return _up_state(SPIN, radial_profile, winding, f"theta_independent_spin_up(k={k})",
+                     azimuthal_winding=k, characteristic_width=characteristic_width)
 
 
 def anisotropic_spin_up(tau: float, alpha: float) -> OneParticleState:
@@ -285,57 +279,77 @@ def anisotropic_spin_up(tau: float, alpha: float) -> OneParticleState:
     factor averages to one over the sphere, so the Gaussian prefactor already
     normalizes the state.
     """
-    if not (tau > 0.0):
-        raise ConfigurationError(f"tau must be positive, got {tau}")
+    radial = _gaussian_radial(tau)
     if not (abs(alpha) <= 1.0):
         raise ConfigurationError(f"alpha must lie in [-1, 1], got {alpha}")
     a = float(alpha)
-    return OneParticleState(
-        basis=SPIN,
-        amplitude=ProductForm(
-            _gaussian_radial(tau), _up_only(lambda theta, phi: np.sqrt(1.0 + a * np.cos(theta)))
-        ),
-        label=f"anisotropic_spin_up(tau={tau:g}, alpha={a:g})",
-        family_params={
-            "tau": float(tau),
-            "alpha": a,
-            "characteristic_width": float(tau),
-        },
-    )
+    return _up_state(SPIN, radial, lambda theta, phi: np.sqrt(1.0 + a * np.cos(theta)),
+                     f"anisotropic_spin_up(tau={tau:g}, alpha={a:g})",
+                     tau=tau, alpha=a, characteristic_width=tau)
 
 
-# Named radial profiles usable from scenario files.
+# Named radial profiles usable from scenario files: keyword functions that
+# return (radial factor, characteristic width).
+
+def _gaussian_profile(tau=1.0):
+    if not (tau > 0.0):
+        raise ConfigurationError("gaussian profile needs tau > 0")
+    return (lambda p: np.exp(-(p * p) / (2.0 * tau * tau))), tau
+
+
+def _linear_exp_profile(scale=1.0):
+    if not (scale > 0.0):
+        raise ConfigurationError("linear_exp profile needs scale > 0")
+    # density p^4*exp(-2p/scale) peaks at 2*scale; width 2.5*scale puts the
+    # default truncation at 20*scale where the tail is < 1e-12
+    return (lambda p: p * np.exp(-p / scale)), 2.5 * scale
+
+
+def _shell_profile(p_min=0.5, p_max=1.5):
+    if not (0.0 <= p_min < p_max):
+        raise ConfigurationError("shell profile needs 0 <= p_min < p_max")
+    return (lambda p: ((p > p_min) & (p < p_max)).astype(np.float64)), p_max
+
+
+PROFILES: dict[str, Callable[..., tuple[Callable, float]]] = {
+    "gaussian": _gaussian_profile,
+    "linear_exp": _linear_exp_profile,
+    "shell": _shell_profile,
+}
+
 
 def radial_profile(name: str, **params: float) -> tuple[Callable, float]:
     """Look up a named radial profile; returns (callable, characteristic width)."""
-    if name == "gaussian":
-        tau = float(params.pop("tau", 1.0))
-        if tau <= 0.0:
-            raise ConfigurationError("gaussian profile needs tau > 0")
-        _reject_extra(name, params)
-        return (lambda p: np.exp(-(p * p) / (2.0 * tau * tau))), tau
-    if name == "linear_exp":
-        scale = float(params.pop("scale", 1.0))
-        if scale <= 0.0:
-            raise ConfigurationError("linear_exp profile needs scale > 0")
-        _reject_extra(name, params)
-        # density p^4*exp(-2p/scale) peaks at 2*scale; width 2.5*scale puts
-        # the default truncation at 20*scale where the tail is < 1e-12
-        return (lambda p: p * np.exp(-p / scale)), 2.5 * scale
-    if name == "shell":
-        p_min = float(params.pop("p_min", 0.5))
-        p_max = float(params.pop("p_max", 1.5))
-        if not (0.0 <= p_min < p_max):
-            raise ConfigurationError("shell profile needs 0 <= p_min < p_max")
-        _reject_extra(name, params)
-        return (
-            lambda p: ((p > p_min) & (p < p_max)).astype(np.float64)
-        ), p_max
-    raise ConfigurationError(f"unknown radial profile {name!r}")
+    if name not in PROFILES:
+        raise ConfigurationError(f"unknown radial profile {name!r}")
+    try:
+        return PROFILES[name](**params)
+    except TypeError as exc:  # an unknown keyword, or a value that is not a number
+        raise ConfigurationError(f"bad parameters for profile {name!r}: {exc}") from exc
 
 
-def _reject_extra(name: str, params: Mapping[str, float]) -> None:
-    if params:
-        raise ConfigurationError(
-            f"unexpected parameters for profile {name!r}: {sorted(params)}"
-        )
+def _theta_independent(profile: str = "gaussian", winding: Any = 0, **params: Any):
+    """``theta_independent_spin_up`` with a named radial profile and its params."""
+    radial, width = radial_profile(profile, **params)
+    return theta_independent_spin_up(radial, azimuthal_winding=winding, characteristic_width=width)
+
+
+#: Scenario family name -> constructor called with the scenario's params.
+FAMILIES: dict[str, Callable[..., OneParticleState]] = {
+    "gaussian_spin_up": gaussian_spin_up,
+    "gaussian_helicity_up": gaussian_helicity_up,
+    "anisotropic_spin_up": anisotropic_spin_up,
+    "theta_independent_spin_up": _theta_independent,
+}
+
+
+def build_state(family: str, params: Mapping[str, Any]) -> OneParticleState:
+    """Construct a built-in family from its scenario parameters."""
+    if family not in FAMILIES:
+        raise ConfigurationError(f"unknown state family {family!r}")
+    try:
+        return FAMILIES[family](**params)
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # wrong keywords, type or range
+        raise ConfigurationError(f"bad parameters for family {family!r}: {exc}") from exc

@@ -126,7 +126,10 @@ def test_schema_violations_exit_2(tmp_path, capsys):
         "checks": 5,
     }
     assert main(["run", str(_write(tmp_path, "bad4.json", checks_not_a_list))]) == 2
-    for i, params in enumerate(({"tau": "wide"}, {"winding": "two"}, {"winding": 1.5})):
+    # a string is a profile name, never a number's text
+    for i, params in enumerate(({"tau": "wide"}, {"winding": "two"}, {"winding": 1.5},
+                                {"profile": "gaussian", "tau": "2.0"}, {"winding": "2"},
+                                {"tau": "nan"})):
         bad_param = {
             "schema_version": 1,
             "name": "x",
@@ -196,7 +199,7 @@ def test_check_failure_exit_1(tmp_path, capsys):
     assert abs(report["checks"][0]["deviation"] - 1.0) <= 1e-10
 
 
-def test_degenerate_state_exit_3(tmp_path):
+def test_degenerate_state_exit_3(tmp_path, capsys):
     scenario = {
         "schema_version": 1,
         "name": "empty_shell",
@@ -208,6 +211,13 @@ def test_degenerate_state_exit_3(tmp_path):
         "outputs": ["helicity_density"],
     }
     assert main(["run", str(_write(tmp_path, "shell.json", scenario))]) == 3
+    # a squared norm that overflows to NaN is named as such
+    wide = {**scenario, "state": {"family": "gaussian_spin_up", "params": {"tau": 1e150}},
+            "grid": {}}
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(_write(tmp_path, "wide.json", wide))]) == 3
+    assert "squared norm is nan" in capsys.readouterr().err
 
 
 def test_unwritable_report_exit_4(tmp_path):
@@ -234,10 +244,15 @@ def test_grid_and_mc_overrides(tmp_path, capsys):
         assert main(["run", "eq10_theta_independent", "--grid", grid]) == 2
     for mc, field in (("20000", "--mc"), ("20000,-1", "scenario.mc.seed"),
                       ("20000,1.5", "scenario.mc.seed"),
-                      ("20000,18446744073709551616", "scenario.mc.seed")):
+                      ("20000,18446744073709551616", "scenario.mc.seed"),
+                      ("1000000000000000000000000000000,1", "scenario.mc.n_samples")):
         capsys.readouterr()
         assert main(["run", "eq10_theta_independent", "--mc", mc]) == 2
         assert field in capsys.readouterr().err
+    # the sample cap holds in a file as it does for --mc
+    huge = {**bundled_scenarios()["eq10_theta_independent"], "mc": {"n_samples": 10**30, "seed": 1}}
+    assert main(["run", str(_write(tmp_path, "huge_mc.json", huge))]) == 2
+    assert "scenario.mc.n_samples: must be at most 1000000000" in capsys.readouterr().err
     # every family has a Monte-Carlo cross-check, with its effective sample size
     tree = {
         "schema_version": 1,

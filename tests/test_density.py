@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import helispin as hs
 from helispin.density import DensityMatrix2, accumulate_outer
-from helispin.errors import ContractViolationError
+from helispin.errors import ConfigurationError, ContractViolationError, NumericalDomainError
 from helispin.states import OneParticleState
 
 from conftest import random_state
@@ -204,6 +206,32 @@ def test_density_matrix_validation():
         DensityMatrix2(np.array([[0.8, 0.0], [0.0, 0.8]]), hs.SPIN)  # trace 1.6
     with pytest.raises(ContractViolationError):
         DensityMatrix2(np.array([[1.5, 0.0], [0.0, -0.5]]), hs.SPIN)  # not PSD
+
+
+@pytest.mark.parametrize(
+    "entries, basis, error, message",
+    [
+        (np.eye(3) / 3.0, hs.SPIN, ConfigurationError, "expected a 2x2 matrix, got shape (3, 3)"),
+        ([[0.5, np.nan], [np.nan, 0.5]], hs.SPIN, NumericalDomainError,
+         "density matrix entries must be finite"),
+        (np.eye(2) / 2.0, "chirality", ConfigurationError, "unknown basis tag 'chirality'"),
+    ],
+)
+def test_density_matrix_constructor_checks(entries, basis, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        DensityMatrix2(entries, basis)
+
+
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        (np.eye(3), ContractViolationError, "expected a 2x2 matrix, got shape (3, 3)"),
+        ([[1.0, np.inf], [np.inf, 0.0]], NumericalDomainError, "matrix entries must be finite"),
+    ],
+)
+def test_eigenvalue_input_checks(matrix, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        hs.eigenvalues_hermitian2(matrix)
 
 
 def test_convergence_doubling_below_1e10(default_grid):

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import helispin as hs
 from helispin.errors import ConfigurationError, DegenerateInputError, NumericalDomainError
-from helispin.oracles import mc_density
+from helispin.oracles import MAX_MC_SAMPLES, McEstimate, mc_density
 from helispin.states import OneParticleState
 
 from conftest import random_state
@@ -133,6 +135,9 @@ def test_mc_validation():
     state = hs.gaussian_spin_up(1.0)
     with pytest.raises(ConfigurationError):
         mc_density(state, hs.HELICITY, 99, seed=1)
+    # the cap is checked before the tile sums are allocated
+    with pytest.raises(ConfigurationError, match=f"at most {MAX_MC_SAMPLES}"):
+        mc_density(state, hs.HELICITY, MAX_MC_SAMPLES + 1, seed=1)
     with pytest.raises(ConfigurationError):
         mc_density(state, "sideways", 1000, seed=1)
     with pytest.raises(ConfigurationError):
@@ -148,3 +153,15 @@ def test_mc_validation():
     )
     with pytest.raises(NumericalDomainError):
         mc_density(diverging, hs.HELICITY, 1000, seed=1)
+
+
+@pytest.mark.parametrize(
+    "n_samples, std_error, message",
+    [
+        (0, np.zeros((2, 2)), "n_samples must be >= 1"),
+        (100, np.full((2, 2), -1.0), "standard errors must be non-negative"),
+    ],
+)
+def test_mc_estimate_constructor_checks(n_samples, std_error, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        McEstimate(value=0.5 * np.eye(2), std_error=std_error, n_samples=n_samples, seed=0, ess=1.0)

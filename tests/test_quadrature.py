@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +112,26 @@ def test_invalid_configuration_rejected(kwargs):
     (name,) = kwargs
     with pytest.raises(ConfigurationError, match=f"^{name} must"):
         build_grid(**base)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda g: {"radial_weights": -g.radial_weights}, "radial weights must be strictly positive"),
+        (lambda g: {"polar_weights": -g.polar_weights}, "polar weights must be strictly positive"),
+        (lambda g: {"azimuthal_weights": 0.0 * g.azimuthal_weights},
+         "azimuthal weights must be strictly positive"),
+        (lambda g: {"r_max": g.radial_nodes[-1]}, "radial nodes must lie strictly inside (0, r_max)"),
+        (lambda g: {"polar_angles": g.polar_angles + 1.0}, "polar nodes must lie strictly inside (0, pi)"),
+        (lambda g: {"azimuthal_weights": 2.0 * g.azimuthal_weights},
+         "azimuthal weights must sum to 2*pi"),
+        (lambda g: {"polar_weights": 2.0 * g.polar_weights}, "polar weights must sum to 2"),
+    ],
+)
+def test_grid_constructor_checks(change, message):
+    grid = build_grid(4, 4, 4, r_max=1.0)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        replace(grid, **change(grid))
 
 
 def test_non_finite_integrand_identifies_node():

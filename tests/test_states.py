@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,15 @@ def test_zero_state_norm_and_normalize_error(default_grid):
     assert hs.norm_squared(state, default_grid) == 0.0
     with pytest.raises(DegenerateInputError):
         hs.normalize(state, default_grid)
+
+
+def test_non_finite_norm_rejected():
+    """p^2*w overflows on a grid this wide, so the squared norm is NaN: a
+    numerical error of its own, not a zero norm or a later node check."""
+    state = hs.gaussian_spin_up(1e150)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(hs.NumericalDomainError, match="squared norm is nan"):
+        hs.normalize(state, hs.build_grid(r_max=8e150))
 
 
 def test_normalize_idempotent(default_grid):
@@ -176,8 +187,25 @@ def test_radial_profile_registry():
         hs.radial_profile("unknown")
     with pytest.raises(ConfigurationError):
         hs.radial_profile("shell", p_min=2.0, p_max=1.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="bad parameters for profile 'gaussian'.*bogus"):
         hs.radial_profile("gaussian", tau=1.0, bogus=3.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: hs.anisotropic_spin_up(0.0, 0.5), "tau must be positive, got 0.0"),
+        (lambda: hs.radial_profile("gaussian", tau=0.0), "gaussian profile needs tau > 0"),
+        (lambda: hs.radial_profile("linear_exp", scale=-1.0), "linear_exp profile needs scale > 0"),
+        # the profiles and the winding take numbers, not their text
+        (lambda: hs.radial_profile("gaussian", tau="2.0"), "bad parameters for profile 'gaussian'"),
+        (lambda: hs.theta_independent_spin_up(np.exp, azimuthal_winding="2"),
+         "azimuthal_winding must be an integer, got '2'"),
+    ],
+)
+def test_family_and_profile_checks(build, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+        build()
 
 
 def test_components_cache_reused(small_grid):

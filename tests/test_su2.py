@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,18 @@ def test_angle_range_enforced():
         wigner_rotation(-0.1, 0.0)
     with pytest.raises(ConfigurationError):
         wigner_rotation(0.5, 2.0 * np.pi)
+
+
+@pytest.mark.parametrize(
+    "up, down, basis, message",
+    [
+        (1.0, 0.0, "chirality", "unknown basis tag 'chirality'"),
+        (1.0, complex(0.0, np.inf), SPIN, "amplitude components must be finite"),
+    ],
+)
+def test_amplitude_pair_constructor_checks(up, down, basis, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        AmplitudePair(up, down, basis)
 
 
 def test_poles_evaluate_literally():
