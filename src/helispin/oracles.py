@@ -40,6 +40,9 @@ from .su2 import (
 #: Samples per Philox tile. Part of the determinism contract: changing it
 #: changes the stream layout, so it is a constant, not a parameter.
 MC_TILE = 4096
+#: Samples per basis rotation in a tile; the bits do not depend on it. A whole
+#: tile's ~550 KB of temporaries made glibc malloc trim and refault every tile.
+MC_BLOCK = 2048
 #: Uniform draws per sample: three for the radius, one each for cos(theta)
 #: and phi.
 _DRAWS_PER_SAMPLE = 5
@@ -155,6 +158,8 @@ def mc_density(
     n_tiles = (n_samples + MC_TILE - 1) // MC_TILE
     # per tile and entry: sum of a, of |a|^2 and of a*b (b the sample's trace)
     sums = np.zeros((n_tiles, 2, 2, 3), dtype=np.complex128)
+    transform = (spin_components_to_helicity if target_basis == HELICITY
+                 else helicity_components_to_spin)
 
     # Shards own contiguous tile ranges; results are combined in tile order
     # below, so the shard layout cannot affect the outcome.
@@ -170,12 +175,9 @@ def mc_density(
             up = np.asarray(up, dtype=np.complex128) * scale
             down = np.asarray(down, dtype=np.complex128) * scale
             if state.basis != target_basis:
-                transform = (
-                    spin_components_to_helicity
-                    if target_basis == HELICITY
-                    else helicity_components_to_spin
-                )
-                up, down = transform(up, down, theta, phi)
+                for start in range(0, count, MC_BLOCK):
+                    blk = slice(start, start + MC_BLOCK)
+                    up[blk], down[blk] = transform(up[blk], down[blk], theta[blk], phi[blk])
             b = up.real**2 + up.imag**2 + down.real**2 + down.imag**2
             if not np.all(np.isfinite(b)):
                 raise NumericalDomainError("amplitude is not finite at a sampled momentum")

@@ -59,6 +59,31 @@ def test_mc_shard_count_does_not_change_bits():
         assert np.array_equal(reference.std_error, other.std_error)
 
 
+def test_mc_block_rotation_does_not_change_bits(monkeypatch):
+    """A tile is rotated into the target basis in blocks of at most MC_BLOCK
+    samples; rotating each tile whole gives the same bits, also for partial
+    tiles and blocks."""
+    import helispin.oracles as oracles
+
+    sizes = []
+    rotate = oracles.spin_components_to_helicity
+
+    def recording(up, down, theta, phi):
+        sizes.append(len(up))
+        return rotate(up, down, theta, phi)
+
+    monkeypatch.setattr(oracles, "spin_components_to_helicity", recording)
+    state = hs.anisotropic_spin_up(1.0, 0.7)
+    n = 2 * oracles.MC_TILE + oracles.MC_BLOCK + 5
+    blocked = mc_density(state, hs.HELICITY, n, seed=9)
+    assert max(sizes) == oracles.MC_BLOCK and sum(sizes) == n
+    monkeypatch.setattr(oracles, "MC_BLOCK", oracles.MC_TILE)
+    whole = mc_density(state, hs.HELICITY, n, seed=9)
+    assert np.array_equal(blocked.value, whole.value)
+    assert np.array_equal(blocked.std_error, whole.std_error)
+    assert blocked.ess == whole.ess
+
+
 def test_mc_product_form_matches_bare_evaluator():
     """The Monte-Carlo path reads the same amplitude as the quadrature: a
     family state and a bare evaluator over its ProductForm give the same bits."""
