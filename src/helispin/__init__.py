@@ -12,10 +12,12 @@ __version__ = "0.1.0"
 
 from .density import (
     DensityMatrix2,
+    EntropyReport,
+    eigenvalues_hermitian2,
     reduced_helicity_density,
     reduced_spin_density,
+    von_neumann_entropy,
 )
-from .entropy import EntropyReport, eigenvalues_hermitian2, von_neumann_entropy
 from .errors import (
     ConfigurationError,
     ContractViolationError,

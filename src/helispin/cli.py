@@ -24,8 +24,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .density import DensityMatrix2, reduced_helicity_density, reduced_spin_density
-from .entropy import EntropyReport, von_neumann_entropy
+from .density import (
+    DensityMatrix2,
+    EntropyReport,
+    reduced_helicity_density,
+    reduced_spin_density,
+    von_neumann_entropy,
+)
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -668,7 +673,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite value meets a check with its own message
+            return args.func(args)
     except (ScenarioParseError, ConfigurationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
-"""Reduction of a pure one-particle state to a 2x2 spin or helicity matrix.
+"""Reduction of a pure one-particle state to a 2x2 spin or helicity matrix,
+and the matrix's spectrum and binary von Neumann entropy.
 
 Tracing out momentum turns the state into the weighted sum over grid nodes
 of a a^dagger, a its two-component amplitude. The nodes and the sum come
@@ -12,6 +13,9 @@ the three unique entries |up|^2, |down|^2 and up*conj(down), in the grid's
 one summation order, and fills in entry (1, 0) as the conjugate of (0, 1),
 so the matrix is Hermitian by construction. Normalization is re-enforced by
 dividing by the on-grid norm so the trace is 1 to machine precision.
+
+The spectrum comes from one closed form, :func:`eigenvalues_hermitian2`, so the
+pi/8-type matrices evaluate exactly; entropy is in bits, with 0*log(0) = 0.
 """
 from __future__ import annotations
 
@@ -30,9 +34,10 @@ from .su2 import (
     spin_components_to_helicity,
 )
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = 1e-10
+#: Roundoff a 2x2 matrix may carry: in its Hermiticity, its trace, its
+#: eigenvalue range and sum, and as a negative eigenvalue the entropy clamps.
+MATRIX_TOL = 1e-10
+#: Largest gap of the on-grid squared norm from 1: grid accuracy, not roundoff.
 NORM_TOL = 1e-6
 
 
@@ -53,17 +58,14 @@ class DensityMatrix2:
             raise ConfigurationError(f"unknown basis tag {self.basis!r}")
         hi, lo = eigenvalues_hermitian2(m)  # checks Hermiticity
         tr = m[0, 0].real + m[1, 1].real
-        if abs(tr - 1.0) > TRACE_TOL or abs(m[0, 0].imag + m[1, 1].imag) > TRACE_TOL:
+        if abs(tr - 1.0) > MATRIX_TOL or abs(m[0, 0].imag + m[1, 1].imag) > MATRIX_TOL:
             raise ContractViolationError(f"density matrix trace is {tr!r}, not 1")
-        if lo < -EIGENVALUE_TOL or hi > 1.0 + EIGENVALUE_TOL:
+        if lo < -MATRIX_TOL or hi > 1.0 + MATRIX_TOL:
             raise ContractViolationError(
                 f"eigenvalues ({hi}, {lo}) outside [0, 1] beyond tolerance"
             )
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -85,11 +87,35 @@ def eigenvalues_hermitian2(m) -> tuple[float, float]:
     Accepts a DensityMatrix2 or any 2x2 array Hermitian to 1e-10.
     """
     mat = _as_matrix(m)
-    if np.max(np.abs(mat - np.conj(mat.T))) > HERMITICITY_TOL:
+    if np.max(np.abs(mat - np.conj(mat.T))) > MATRIX_TOL:
         raise ContractViolationError("matrix is not Hermitian within tolerance")
     mean = 0.5 * (mat[0, 0].real + mat[1, 1].real)
     radius = np.hypot(0.5 * (mat[0, 0].real - mat[1, 1].real), abs(mat[0, 1]))
     return float(mean + radius), float(mean - radius)
+
+
+@dataclass(frozen=True)
+class EntropyReport:
+    """Descending eigenvalue pair and the entropy they generate, in bits."""
+
+    eigenvalues: tuple[float, float]
+    entropy_bits: float
+
+
+def von_neumann_entropy(m) -> EntropyReport:
+    """Binary von Neumann entropy of a 2x2 density matrix. Eigenvalues in
+    [-MATRIX_TOL, 0) are roundoff and clamped to zero; more negative ones
+    raise, since they indicate an invalid input."""
+    hi, lo = eigenvalues_hermitian2(m)
+    if lo < -MATRIX_TOL:
+        raise NumericalDomainError(
+            f"eigenvalue {lo} is negative beyond tolerance; not a density matrix"
+        )
+    if abs(hi + lo - 1.0) > MATRIX_TOL:
+        raise ContractViolationError(f"eigenvalues sum to {hi + lo}, not 1")
+    eigs = (min(max(hi, 0.0), 1.0), min(max(lo, 0.0), 1.0))
+    s = -sum(v * np.log2(v) for v in eigs if v > 0.0) + 0.0  # +0.0 avoids -0.0
+    return EntropyReport(eigenvalues=eigs, entropy_bits=float(s))
 
 
 def accumulate_outer(measure, up: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -97,16 +123,13 @@ def accumulate_outer(measure, up: np.ndarray, down: np.ndarray) -> np.ndarray:
     construction.
 
     Only |up|^2, |down|^2 and up*conj(down) are reduced; entry (1, 0) is the
-    conjugate of entry (0, 1). ``measure`` is either per-node weights, each
-    entry then being one pairwise np.sum in node order, or a function that
-    reduces an entry array (the measure of :func:`helispin.states.on_grid`,
-    a Monte-Carlo tile's moments). Axes of that reduction follow the two
-    matrix axes.
+    conjugate of entry (0, 1). ``measure`` is a function that reduces an
+    entry array (the measure of :func:`helispin.states.on_grid`, a Monte-Carlo
+    tile's moments). Axes of that reduction follow the two matrix axes.
     """
-    reduce = measure if callable(measure) else (lambda x: np.sum(measure * x))
-    uu = reduce(up.real**2 + up.imag**2)
-    dd = reduce(down.real**2 + down.imag**2)
-    ud = reduce(up * np.conj(down))
+    uu = measure(up.real**2 + up.imag**2)
+    dd = measure(down.real**2 + down.imag**2)
+    ud = measure(up * np.conj(down))
     out = np.empty((2, 2) + np.shape(ud), dtype=np.complex128)
     out[0, 0], out[1, 1] = uu, dd
     out[0, 1], out[1, 0] = ud, np.conj(ud)

@@ -15,8 +15,8 @@ trace, with delta-method standard errors and Kong's effective sample size
 (Owen, Monte Carlo theory, methods and examples, 2013, ch. 9). The amplitude
 need not be normalized. Randomness is counter-based:
 Philox streams keyed by (seed, tile index) with a fixed draw layout, and
-tile partial sums are combined in tile order, so the estimate is
-bit-identical regardless of how tiles would be sharded across workers.
+each tile's sums are added to one running total in tile order, so the
+estimate is bit-identical however tiles would be sharded across workers.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .density import DensityMatrix2, accumulate_outer
-from .entropy import von_neumann_entropy
+from .density import DensityMatrix2, accumulate_outer, von_neumann_entropy
 from .errors import ConfigurationError, DegenerateInputError, NumericalDomainError
 from .states import OneParticleState
 from .su2 import (
@@ -53,9 +52,8 @@ _DRAWS_PER_SAMPLE = 5
 #: weights stay bounded. At 0.4 the radial ESS/n is 0.89 for a Gaussian,
 #: 0.85 for linear_exp and 0.34 for a shell; 0.5 gives less for all three.
 PROPOSAL_WIDTH = 0.4
-#: Largest sample count ``mc_density`` takes. Its tile sums are allocated up
-#: front, 192 bytes per tile of ``MC_TILE`` samples (47 MB at the cap), and
-#: the run time grows linearly: minutes at the cap.
+#: Largest sample count ``mc_density`` takes: the run time grows linearly,
+#: to minutes at the cap.
 MAX_MC_SAMPLES = 10**9
 
 
@@ -140,8 +138,9 @@ def mc_density(
     """Monte-Carlo estimate of the reduced matrix in ``target_basis``.
 
     Works for every state; the amplitude need not be normalized, because the
-    estimate is divided by its own trace. ``n_shards`` only batches tile
-    evaluation (a worker-count stand-in); it never changes the returned bits.
+    estimate is divided by its own trace. ``n_shards`` is a worker-count
+    stand-in: the tiles run in tile order whatever its value, so it cannot
+    change the returned bits.
     """
     if target_basis not in (SPIN, HELICITY):
         raise ConfigurationError(f"unknown basis tag {target_basis!r}")
@@ -156,38 +155,30 @@ def mc_density(
 
     sigma = PROPOSAL_WIDTH * state.characteristic_width
     n_tiles = (n_samples + MC_TILE - 1) // MC_TILE
-    # per tile and entry: sum of a, of |a|^2 and of a*b (b the sample's trace)
-    sums = np.zeros((n_tiles, 2, 2, 3), dtype=np.complex128)
+    # per entry, summed tile by tile in tile order: a, |a|^2 and a*b (b the sample's trace)
+    total = np.zeros((2, 2, 3), dtype=np.complex128)
     transform = (spin_components_to_helicity if target_basis == HELICITY
                  else helicity_components_to_spin)
+    for t in range(n_tiles):
+        count = min(MC_TILE, n_samples - t * MC_TILE)
+        p, theta, phi = _sample_tile(sigma, seed, t, count)
+        up, down = state.amplitude(p, theta, phi)
+        # q ~ exp(-p/sigma) on d^3p: this scale makes the outer product
+        # carry the weight |psi|^2/q (the constant 8*pi*sigma^3 cancels)
+        scale = np.exp(p / (2.0 * sigma))
+        up = np.asarray(up, dtype=np.complex128) * scale
+        down = np.asarray(down, dtype=np.complex128) * scale
+        if state.basis != target_basis:
+            for start in range(0, count, MC_BLOCK):
+                blk = slice(start, start + MC_BLOCK)
+                up[blk], down[blk] = transform(up[blk], down[blk], theta[blk], phi[blk])
+        b = up.real**2 + up.imag**2 + down.real**2 + down.imag**2
+        if not np.all(np.isfinite(b)):
+            raise NumericalDomainError("amplitude is not finite at a sampled momentum")
+        total += accumulate_outer(
+            lambda a: [np.sum(a), np.sum(a.real**2 + a.imag**2), np.sum(a * b)], up, down
+        )
 
-    # Shards own contiguous tile ranges; results are combined in tile order
-    # below, so the shard layout cannot affect the outcome.
-    bounds = np.linspace(0, n_tiles, n_shards + 1).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        for t in range(lo, hi):
-            count = min(MC_TILE, n_samples - t * MC_TILE)
-            p, theta, phi = _sample_tile(sigma, seed, t, count)
-            up, down = state.amplitude(p, theta, phi)
-            # q ~ exp(-p/sigma) on d^3p: this scale makes the outer product
-            # carry the weight |psi|^2/q (the constant 8*pi*sigma^3 cancels)
-            scale = np.exp(p / (2.0 * sigma))
-            up = np.asarray(up, dtype=np.complex128) * scale
-            down = np.asarray(down, dtype=np.complex128) * scale
-            if state.basis != target_basis:
-                for start in range(0, count, MC_BLOCK):
-                    blk = slice(start, start + MC_BLOCK)
-                    up[blk], down[blk] = transform(up[blk], down[blk], theta[blk], phi[blk])
-            b = up.real**2 + up.imag**2 + down.real**2 + down.imag**2
-            if not np.all(np.isfinite(b)):
-                raise NumericalDomainError("amplitude is not finite at a sampled momentum")
-            sums[t] = accumulate_outer(
-                lambda a: [np.sum(a), np.sum(a.real**2 + a.imag**2), np.sum(a * b)],
-                up,
-                down,
-            )
-
-    total = sums.sum(axis=0)
     sum_a, sum_a2, sum_ab = total[..., 0], total[..., 1].real, total[..., 2]
     trace = sum_a[0, 0].real + sum_a[1, 1].real
     if not trace > 0.0:

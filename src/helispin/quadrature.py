@@ -224,6 +224,8 @@ def build_grid(
     x, w = np.polynomial.legendre.leggauss(int(n_r))
     radial_nodes = 0.5 * r_max * (x + 1.0)
     radial_weights = 0.5 * r_max * w
+    if not np.all(radial_weights * radial_nodes**2 > 0.0):
+        raise ConfigurationError(f"r_max must be large enough that p^2*w is nonzero, got {r_max}")
 
     t, wt = np.polynomial.legendre.leggauss(int(n_theta))
     theta = 0.5 * np.pi * (t + 1.0)

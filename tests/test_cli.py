@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -126,10 +127,12 @@ def test_schema_violations_exit_2(tmp_path, capsys):
         "checks": 5,
     }
     assert main(["run", str(_write(tmp_path, "bad4.json", checks_not_a_list))]) == 2
-    # a string is a profile name, never a number's text
+    # a string is a profile name, never a number's text; a width so small that
+    # the grid's radial measure underflows is an input error too
     for i, params in enumerate(({"tau": "wide"}, {"winding": "two"}, {"winding": 1.5},
                                 {"profile": "gaussian", "tau": "2.0"}, {"winding": "2"},
-                                {"tau": "nan"})):
+                                {"tau": "nan"}, {"profile": "gaussian", "tau": 1e-300},
+                                {"profile": "linear_exp", "scale": 1e-200})):
         bad_param = {
             "schema_version": 1,
             "name": "x",
@@ -215,9 +218,26 @@ def test_degenerate_state_exit_3(tmp_path, capsys):
     wide = {**scenario, "state": {"family": "gaussian_spin_up", "params": {"tau": 1e150}},
             "grid": {}}
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", str(_write(tmp_path, "wide.json", wide))]) == 3
+    assert main(["run", str(_write(tmp_path, "wide.json", wide))]) == 3
     assert "squared norm is nan" in capsys.readouterr().err
+
+
+def test_numerical_error_is_one_stderr_line(tmp_path, capsys):
+    """numpy's floating-point warnings stay out of the CLI's stderr: the
+    overflow in the radial measure ends in the one numerical-error line."""
+    wide = {
+        "schema_version": 1,
+        "name": "wide",
+        "state": {"family": "gaussian_spin_up", "params": {"tau": 1e150}},
+        "outputs": ["helicity_density"],
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(_write(tmp_path, "wide.json", wide))]) == 3
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "numerical error: cannot normalize a state whose squared norm is nan\n"
+    )
 
 
 def test_unwritable_report_exit_4(tmp_path):

@@ -109,14 +109,16 @@ def test_anisotropic_alpha_one_closed_form(default_grid):
 
 
 def test_kernel_single_node():
-    rho = accumulate_outer(np.array([1.0]), np.array([1.0 + 0j]), np.array([0.0j]))
+    w = np.array([1.0])
+    rho = accumulate_outer(lambda x: np.sum(w * x), np.array([1.0 + 0j]), np.array([0.0j]))
     np.testing.assert_array_equal(rho, np.array([[1, 0], [0, 0]], dtype=complex))
 
 
 def test_kernel_classical_mixture():
     inv = 1.0 / np.sqrt(2.0)
+    w = np.array([1.0, 1.0])
     rho = accumulate_outer(
-        np.array([1.0, 1.0]),
+        lambda x: np.sum(w * x),
         np.array([inv, 0.0], dtype=complex),
         np.array([0.0, inv], dtype=complex),
     )
@@ -142,7 +144,7 @@ def test_kernel_matches_brute_force_summation():
             for b in range(2):
                 brute[a, b] += w * comps[a] * np.conj(comps[b])
 
-    rho = accumulate_outer(weights, up, down)
+    rho = accumulate_outer(lambda x: np.sum(weights * x), up, down)
     np.testing.assert_allclose(rho, brute, atol=1e-14)
 
 
@@ -153,7 +155,7 @@ def test_accumulation_asymmetry_tiny():
     down = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     weights = rng.uniform(0.0, 1.0, n)
     weights /= np.sum(weights * (np.abs(up) ** 2 + np.abs(down) ** 2))
-    raw = accumulate_outer(weights, up, down)
+    raw = accumulate_outer(lambda x: np.sum(weights * x), up, down)
     assert np.max(np.abs(raw - raw.conj().T)) < 1e-11
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helispin as hs
-from helispin.entropy import eigenvalues_hermitian2, von_neumann_entropy
+from helispin.density import eigenvalues_hermitian2, von_neumann_entropy
 from helispin.errors import ContractViolationError, NumericalDomainError
 
 from conftest import random_density_matrix

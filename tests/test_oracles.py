@@ -1,11 +1,14 @@
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helispin as hs
+from helispin.cli import MC_SIGMA_BOUND
 from helispin.errors import ConfigurationError, DegenerateInputError, NumericalDomainError
-from helispin.oracles import MAX_MC_SAMPLES, McEstimate, mc_density
+from helispin.oracles import MAX_MC_SAMPLES, PROPOSAL_WIDTH, McEstimate, mc_density
 from helispin.states import OneParticleState
 
 from conftest import random_state
@@ -144,6 +147,69 @@ def test_mc_agrees_with_quadrature_anisotropic():
         assert np.all(gap <= 4.0 * sigma), state.label
         assert 0.0 < estimate.ess <= n_samples, state.label
 
+
+
+def _crosscheck_generic_state() -> OneParticleState:
+    """The non-separable state of scripts/mc_crosscheck.py."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "mc_crosscheck.py"
+    spec = importlib.util.spec_from_file_location("mc_crosscheck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generic_state()
+
+
+def test_mc_weights_match_quadrature_on_generic_state():
+    """A product state's reduced matrix does not depend on the radial
+    weighting; this non-separable one does, so a wrong importance weight
+    (exp(p/(2.2 sigma)) for exp(p/(2 sigma)): 9.2 sigma) fails here."""
+    state = _crosscheck_generic_state()
+    grid = hs.build_grid(r_max=8.0 * state.characteristic_width)
+    quad = hs.reduced_spin_density(hs.normalize(state, grid), grid).entries
+    estimate = mc_density(state, hs.SPIN, 1_000_000, seed=15)
+    assert estimate.sigma_distance(quad).max() <= MC_SIGMA_BOUND
+
+
+def test_mc_ess_matches_quadrature():
+    """Kong's ESS is n for constant weights, and otherwise tends to
+    n (int |psi|^2)^2 / int |psi|^4/q, q the proposal density on d^3p."""
+    sigma = PROPOSAL_WIDTH * 1.0  # a bare state's characteristic width
+    flat = OneParticleState(
+        basis=hs.SPIN, amplitude=lambda p, t, f: (np.exp(-p / (2.0 * sigma)), 0.0 * p)
+    )
+    estimate = mc_density(flat, hs.HELICITY, 10_000, seed=3)
+    assert abs(estimate.ess / 10_000 - 1.0) <= 1e-12
+
+    state = hs.gaussian_spin_up(1.0)
+    grid = hs.build_grid(r_max=8.0 * state.characteristic_width)
+    sigma = PROPOSAL_WIDTH * state.characteristic_width
+
+    def density(p, theta, phi):
+        up, down = state.amplitude(p, theta, phi)
+        return np.abs(up) ** 2 + np.abs(down) ** 2
+
+    norm = hs.integrate(grid, density).real
+    second = hs.integrate(
+        grid, lambda p, t, f: density(p, t, f) ** 2 * 8.0 * np.pi * sigma**3 * np.exp(p / sigma)
+    ).real
+    estimate = mc_density(state, hs.HELICITY, 1_000_000, seed=20260808)
+    # 0.88926 against 0.88943; ESS = n would read 1
+    assert abs(estimate.ess / 1_000_000 - norm * norm / second) <= 2e-3
+
+
+def test_mc_std_errors_match_seed_spread():
+    """Over 60 seeds the z-scores of two entries against the closed form
+    have variance near 1 (0.90 and 0.70); doubled standard errors would give
+    0.22 and 0.18, halved ones 3.6 and 2.8."""
+    alpha = 0.7
+    state = hs.anisotropic_spin_up(1.0, alpha)
+    closed = np.array([[0.5 + alpha / 6.0, -PI8], [-PI8, 0.5 - alpha / 6.0]])
+    z = []
+    for seed in range(60):
+        estimate = mc_density(state, hs.HELICITY, 20_000, seed=seed)
+        z.append([(estimate.value[i, j].real - closed[i, j]) / estimate.std_error[i, j]
+                  for i, j in ((0, 0), (0, 1))])
+    variance = np.var(z, axis=0)
+    assert np.all((0.5 <= variance) & (variance <= 2.0)), variance
 
 def test_mc_estimate_fields():
     est = mc_density(hs.gaussian_spin_up(1.0), hs.SPIN, 1000, seed=1)

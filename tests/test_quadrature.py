@@ -103,6 +103,7 @@ def test_weight_sums_and_open_intervals():
         {"r_max": 0.0},
         {"r_max": -2.0},
         {"r_max": float("inf")},
+        {"r_max": 1e-300},  # the radial measure p^2*w underflows to 0
     ],
 )
 def test_invalid_configuration_rejected(kwargs):
