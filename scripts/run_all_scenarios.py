@@ -10,7 +10,14 @@ compare_outputs.py sees the mesh path and the su2 transforms bit for bit;
 and profiles.json: each theta_independent_spin_up case of mc_crosscheck.py,
 its characteristic width and its reductions in both bases, so that the
 named radial profiles are compared too.
+
+No bundled input fails a check or errors on a sweep point, so two more
+inputs are written to <out_dir>/inputs/ and run through the CLI: a scenario
+whose check fails (a report with "all_checks_passed": false) and a sweep
+whose rows are ok, fail:<quantity> and error:<type>. The script exits 0 only
+when every command ends with its expected exit code.
 """
+import json
 import sys
 from pathlib import Path
 
@@ -23,6 +30,29 @@ MC_OVERRIDES = {
     "eq15_isotropic_helicity": "1000000,31415926",
 }
 GENERIC_MC = (100_000, 20261020)
+
+#: alpha = 1 makes the helicity matrix anisotropic, so the theta-independent
+#: oracle fails; alpha = 0 passes it and alpha = 2 is outside [-1, 1].
+FAILING_SCENARIO = {
+    "schema_version": 1,
+    "name": "failing_check",
+    "state": {"family": "anisotropic_spin_up", "params": {"tau": 1.0, "alpha": 1.0}},
+    "outputs": ["helicity_density", "helicity_entropy"],
+    "checks": [{"quantity": "helicity_density",
+                "reference": "theta_independent_helicity_matrix", "tol": 1e-8}],
+}
+FAILING_SWEEP = {
+    "schema_version": 1,
+    "name": "failing_sweep",
+    "scenario": FAILING_SCENARIO,
+    "parameter": {"path": "state.params.alpha", "values": [0, 1, 2]},
+    "outputs": ["helicity_density[0][1].re", "helicity_entropy"],
+}
+#: name -> (command, input tree, expected exit code)
+VERDICT_INPUTS = {
+    "failing_check": ("run", FAILING_SCENARIO, 1),
+    "failing_sweep": ("sweep", FAILING_SWEEP, 1),
+}
 
 
 def generic_state_tree() -> dict:
@@ -62,9 +92,10 @@ def profiles_tree() -> list:
     return tree
 
 
-def run(out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    worst = 0
+def commands(out_dir: Path) -> list:
+    """(CLI arguments, expected exit code) of every command; writes the
+    verdict inputs to out_dir/inputs."""
+    out = []
     for name, tree in sorted(bundled_scenarios().items()):
         if "parameter" in tree:
             args = ["sweep", name, "--out", str(out_dir / f"{name}.csv")]
@@ -72,15 +103,29 @@ def run(out_dir: Path) -> int:
             args = ["run", name, "--out", str(out_dir / f"{name}.report.json")]
             if name in MC_OVERRIDES:
                 args += ["--mc", MC_OVERRIDES[name]]
+        out.append((args, 0))
+    (out_dir / "inputs").mkdir(exist_ok=True)
+    for name, (command, tree, expected) in VERDICT_INPUTS.items():
+        path = out_dir / "inputs" / f"{name}.json"
+        path.write_text(json.dumps(tree, indent=2) + "\n", encoding="utf-8")
+        suffix = ".csv" if command == "sweep" else ".report.json"
+        out.append(([command, str(path), "--out", str(out_dir / f"{name}{suffix}")], expected))
+    return out
+
+
+def run(out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    unexpected = 0
+    for args, expected in commands(out_dir):
         print(f"$ helispin {' '.join(args)}")
         rc = main(args)
-        print(f"-> exit {rc}\n")
-        worst = max(worst, rc)
+        print(f"-> exit {rc} (expected {expected})\n")
+        unexpected += rc != expected
     for name, tree in (("generic_state", generic_state_tree()), ("profiles", profiles_tree())):
         path = out_dir / f"{name}.json"
         path.write_text(dumps_deterministic(tree), encoding="utf-8", newline="\n")
         print(f"{name}: {path}")
-    return worst
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

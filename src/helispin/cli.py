@@ -4,7 +4,7 @@ Scenario and sweep inputs are JSON trees with a ``schema_version`` field;
 reports are JSON emitted by a deterministic writer (sorted keys, each float
 as the shortest text that reads back to the same double, complex numbers as
 [re, im] pairs, LF endings, no timestamps), so identical inputs produce
-byte-identical reports.
+byte-identical reports on one machine, numpy build and CPU dispatch.
 Sweep tables are CSV with a header row.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 input error, 3 numerical
@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
@@ -31,13 +32,7 @@ from .density import (
     reduced_spin_density,
     von_neumann_entropy,
 )
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    DegenerateInputError,
-    NumericalDomainError,
-    ScenarioParseError,
-)
+from .errors import ConfigurationError, HelispinError, ScenarioParseError
 from .oracles import MAX_MC_SAMPLES, ORACLES, mc_density
 from .quadrature import (
     DEFAULT_N_PHI,
@@ -106,38 +101,13 @@ class SweepSpec:
     values: tuple[int | float, ...]
     points: tuple[Scenario, ...]  # the base scenario at each value
     outputs: tuple[str, ...]
+    selectors: tuple[tuple[str, Any], ...]  # (quantity, component) of each output
 
 
-@dataclass
-class CheckResult:
-    quantity: str
-    reference: Any
-    tol: float
+@dataclass(frozen=True)
+class CheckResult(CheckSpec):
     deviation: float
     passed: bool
-
-
-@dataclass
-class ScenarioResult:
-    scenario: Scenario
-    grid: QuadratureGrid
-    results: dict[str, Any] = field(default_factory=dict)
-    convergence: dict[str, Any] | None = None
-    checks: list[CheckResult] = field(default_factory=list)
-    mc: dict[str, Any] | None = None
-
-    @property
-    def failed_quantities(self) -> list[str]:
-        """The quantities of the failed checks, then of the Monte-Carlo
-        estimates outside their bound."""
-        failed = [c.quantity for c in self.checks if not c.passed]
-        if self.mc is not None:
-            failed += [q for q, block in self.mc["estimates"].items() if not block["within_bound"]]
-        return failed
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failed_quantities
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +172,8 @@ def _parse_reference(node: Any, quantity: str, where: str) -> Any:
         for j, entry in enumerate(row):
             if _is_number(entry):
                 matrix[i, j] = float(entry)
-            elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
+            elif (isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry))
+                  and math.isfinite(math.hypot(*entry))):  # a finite |entry|, so a finite deviation
                 matrix[i, j] = complex(entry[0], entry[1])
             else:
                 raise ScenarioParseError(
@@ -211,15 +182,19 @@ def _parse_reference(node: Any, quantity: str, where: str) -> Any:
     return matrix
 
 
-def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
-    _expect(isinstance(tree, dict), where, "scenario must be an object")
+def _parse_name(tree: Any, where: str, kind: str, fields: set[str]) -> str:
+    """Check a document's header (schema version, known fields); returns its name."""
+    _expect(isinstance(tree, dict), where, f"{kind} must be an object")
     _expect(tree.get("schema_version") == SCHEMA_VERSION, f"{where}.schema_version",
             f"must be {SCHEMA_VERSION}")
-    _known_fields(tree, {"schema_version", "name", "state", "grid", "outputs", "checks", "mc"},
-                  where)
-
+    _known_fields(tree, {"schema_version", "name"} | fields, where)
     name = tree.get("name")
     _expect(isinstance(name, str) and bool(name), f"{where}.name", "must be a non-empty string")
+    return name
+
+
+def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
+    name = _parse_name(tree, where, "scenario", {"state", "grid", "outputs", "checks", "mc"})
 
     state_node = tree.get("state")
     _expect(isinstance(state_node, dict), f"{where}.state", "must be an object")
@@ -286,12 +261,7 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
 
 
 def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
-    _expect(isinstance(tree, dict), where, "sweep must be an object")
-    _expect(tree.get("schema_version") == SCHEMA_VERSION, f"{where}.schema_version",
-            f"must be {SCHEMA_VERSION}")
-    _known_fields(tree, {"schema_version", "name", "scenario", "parameter", "outputs"}, where)
-    name = tree.get("name")
-    _expect(isinstance(name, str) and bool(name), f"{where}.name", "must be a non-empty string")
+    name = _parse_name(tree, where, "sweep", {"scenario", "parameter", "outputs"})
     scenario = tree.get("scenario")
     _expect(isinstance(scenario, dict), f"{where}.scenario", "must be an object")
     base = parse_scenario(scenario, where=f"{where}.scenario")
@@ -317,11 +287,13 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
     outputs = tree.get("outputs")
     _expect(isinstance(outputs, list) and outputs, f"{where}.outputs",
             "must be a non-empty list")
+    selectors = []
     for i, sel in enumerate(outputs):
         _expect(isinstance(sel, str), f"{where}.outputs[{i}]", "must be a string")
-        quantity, _ = _parse_selector(sel, f"{where}.outputs[{i}]")
+        quantity, component = _parse_selector(sel, f"{where}.outputs[{i}]")
         _expect(quantity in _computed(base.outputs), f"{where}.outputs[{i}]",
                 f"{quantity!r} is not computed; list it (or its entropy) in the scenario's outputs")
+        selectors.append((quantity, component))
 
     return SweepSpec(
         name=name,
@@ -332,6 +304,7 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
             for v in values
         ),
         outputs=tuple(outputs),
+        selectors=tuple(selectors),
     )
 
 
@@ -347,7 +320,7 @@ _SELECTOR_RE = re.compile(r"(spin|helicity)_density\[([01])\]\[([01])\]\.(re|im)
 
 def _parse_selector(selector: str, where: str):
     """A scalar selector: an entropy name or a density entry component."""
-    if selector in ("spin_entropy", "helicity_entropy"):
+    if selector in _DENSITY_FOR_ENTROPY:
         return selector, None
     m = _SELECTOR_RE.fullmatch(selector)
     _expect(m is not None, where, f"invalid scalar selector {selector!r}")
@@ -369,14 +342,13 @@ def _compute_quantities(
     needed = _computed(quantities)
     out: dict[str, Any] = {}
     prepared = normalize(state, grid)
-    if "spin_density" in needed:
-        out["spin_density"] = reduced_spin_density(prepared, grid)
-    if "helicity_density" in needed:
-        out["helicity_density"] = reduced_helicity_density(prepared, grid)
-    if "spin_entropy" in needed:
-        out["spin_entropy"] = von_neumann_entropy(out["spin_density"])
-    if "helicity_entropy" in needed:
-        out["helicity_entropy"] = von_neumann_entropy(out["helicity_density"])
+    for density, reduce in (("spin_density", reduced_spin_density),
+                            ("helicity_density", reduced_helicity_density)):
+        if density in needed:
+            out[density] = reduce(prepared, grid)
+    for entropy, density in _DENSITY_FOR_ENTROPY.items():
+        if entropy in needed:
+            out[entropy] = von_neumann_entropy(out[density])
     return out
 
 
@@ -392,32 +364,26 @@ def _deviation(quantity: str, computed: Any, reference: Any) -> float:
     return float(np.max(np.abs(computed.entries - ref)))
 
 
-def execute_scenario(
-    scenario: Scenario, compute_convergence: bool = True
-) -> ScenarioResult:
-    """Run one scenario: build, normalize, reduce, check."""
+def execute_scenario(scenario: Scenario, compute_convergence: bool = True) -> dict[str, Any]:
+    """Run one scenario (build, normalize, reduce, check); returns its
+    report tree, :func:`report_tree`'s head and the verdicts."""
     state = build_state(scenario.family, scenario.params)
     grid = scenario.grid.resolve(state)
     results = _compute_quantities(state, grid, scenario.outputs)
-    out = ScenarioResult(scenario=scenario, grid=grid, results=results)
+    report = report_tree(scenario, grid, results)
 
     if compute_convergence:
         refined_grid = refine(grid)
         refined = _compute_quantities(state, refined_grid, scenario.outputs)
         delta = max(_deviation(key, value, refined[key]) for key, value in results.items())
-        out.convergence = {"refined_grid": refined_grid, "max_delta": delta}
+        report["convergence"] = {"refined_grid": refined_grid, "max_delta": delta}
 
-    for check in scenario.checks:
-        deviation = _deviation(check.quantity, results[check.quantity], check.reference)
-        out.checks.append(
-            CheckResult(
-                quantity=check.quantity,
-                reference=check.reference,
-                tol=check.tol,
-                deviation=deviation,
-                passed=deviation <= check.tol,
-            )
-        )
+    checks = []
+    for spec in scenario.checks:
+        deviation = _deviation(spec.quantity, results[spec.quantity], spec.reference)
+        checks.append(CheckResult(**vars(spec), deviation=deviation, passed=deviation <= spec.tol))
+    if checks:
+        report["checks"] = checks
 
     if scenario.mc is not None:
         estimates: dict[str, Any] = {}
@@ -436,13 +402,23 @@ def execute_scenario(
                 "max_sigma_distance": max_sigma,
                 "within_bound": bool(max_sigma <= MC_SIGMA_BOUND),
             }
-        out.mc = {
+        report["mc"] = {
             "n_samples": scenario.mc.n_samples,
             "seed": scenario.mc.seed,
             "sigma_bound": MC_SIGMA_BOUND,
             "estimates": estimates,
         }
-    return out
+    report["all_checks_passed"] = not failed_quantities(report)
+    return report
+
+
+def failed_quantities(report: dict[str, Any]) -> list[str]:
+    """The quantities of a report's failed checks, then of its Monte-Carlo
+    estimates outside their bound."""
+    failed = [c.quantity for c in report.get("checks", ()) if not c.passed]
+    if "mc" in report:
+        failed += [q for q, block in report["mc"]["estimates"].items() if not block["within_bound"]]
+    return failed
 
 
 def execute_sweep(sweep: SweepSpec, failures: list[str] | None = None) -> list[list[str]]:
@@ -453,31 +429,25 @@ def execute_sweep(sweep: SweepSpec, failures: list[str] | None = None) -> list[l
     cells. Each row that is not ok appends ``point <value>: <status>`` to
     ``failures``, an error with its message.
     """
-    selectors = [_parse_selector(s, "outputs") for s in sweep.outputs]
     rows = [[sweep.parameter_path, *sweep.outputs, "status"]]
     for value, point in zip(sweep.values, sweep.points):
         cells = [repr(value)]  # a JSON integer as written, a float as in reports
         try:
             result = execute_scenario(point, compute_convergence=False)
-        except (
-            ConfigurationError,
-            DegenerateInputError,
-            NumericalDomainError,
-            ContractViolationError,
-        ) as exc:
+        except HelispinError as exc:
             status = f"error:{type(exc).__name__}"
-            rows.append(cells + [""] * len(selectors) + [status])
+            rows.append(cells + [""] * len(sweep.selectors) + [status])
             reason = f"{status}: {exc}"
         else:
-            for quantity, component in selectors:
-                value_obj = result.results[quantity]
+            for quantity, component in sweep.selectors:
+                value_obj = result["results"][quantity]
                 if component is None:
                     cells.append(_format_float(value_obj.entropy_bits))
                 else:
                     i, j, part = component
                     entry = value_obj.entries[i, j]
                     cells.append(_format_float(entry.real if part == "re" else entry.imag))
-            failed = result.failed_quantities
+            failed = failed_quantities(result)
             status = reason = f"fail:{failed[0]}" if failed else "ok"
             rows.append(cells + [status])
         if status != "ok" and failures is not None:
@@ -494,29 +464,20 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def report_tree(result: ScenarioResult) -> dict[str, Any]:
-    """The report as a tree of JSON values and the result objects that
-    :func:`dumps_deterministic` knows how to write."""
-    sc = result.scenario
-    tree: dict[str, Any] = {
+def report_tree(scenario: Scenario, grid: QuadratureGrid, results: dict) -> dict[str, Any]:
+    """The head of a scenario's report, a tree of JSON values and the result
+    objects that :func:`dumps_deterministic` knows how to write."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "helispin", "version": __version__},
         "scenario": {
-            "name": sc.name,
-            "state": {"family": sc.family, "params": sc.params},
-            "outputs": sc.outputs,
+            "name": scenario.name,
+            "state": {"family": scenario.family, "params": scenario.params},
+            "outputs": scenario.outputs,
         },
-        "grid": result.grid,
-        "results": result.results,
-        "all_checks_passed": result.all_passed,
+        "grid": grid,
+        "results": results,
     }
-    if result.convergence is not None:
-        tree["convergence"] = result.convergence
-    if result.checks:
-        tree["checks"] = result.checks
-    if result.mc is not None:
-        tree["mc"] = result.mc
-    return tree
 
 
 def _report_value(obj: Any) -> Any:
@@ -608,21 +569,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.mc is not None:
             tree["mc"] = _option_tree(args.mc, ("n_samples", "seed"), "--mc")
     scenario = parse_scenario(tree)
-    result = execute_scenario(scenario)
-    text = dumps_deterministic(report_tree(result))
+    report = execute_scenario(scenario)
+    text = dumps_deterministic(report)
     out_path = Path(args.out) if args.out else Path(f"{scenario.name}.report.json")
     out_path.write_text(text, encoding="utf-8", newline="\n")
-    for check in result.checks:
+    for check in report.get("checks", ()):
         status = "PASS" if check.passed else "FAIL"
         print(f"check {check.quantity}: deviation {_format_float(check.deviation)} "
               f"tol {_format_float(check.tol)} {status}")
-    if result.mc is not None:
-        for key, block in sorted(result.mc["estimates"].items()):
+    if "mc" in report:
+        for key, block in sorted(report["mc"]["estimates"].items()):
             status = "PASS" if block["within_bound"] else "FAIL"
             print(f"mc {key}: max sigma distance "
                   f"{_format_float(block['max_sigma_distance'])} {status}")
     print(f"report: {out_path}")
-    return 0 if result.all_passed else 1
+    return 0 if report["all_checks_passed"] else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -675,12 +636,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with np.errstate(all="ignore"):  # a non-finite value meets a check with its own message
             return args.func(args)
-    except (ScenarioParseError, ConfigurationError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalDomainError, DegenerateInputError, ContractViolationError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+    except HelispinError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

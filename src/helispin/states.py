@@ -79,23 +79,27 @@ class OneParticleState:
     basis: Basis
     amplitude: AmplitudeFn  # a ProductForm when the state is radially separable
     label: str = ""
+    #: Momentum scale that sets the default truncation radius and the radius
+    #: of ``mc_density``'s proposal, exp(-p/(0.4 w)) on d^3p; so |psi|^2 must
+    #: decay faster than exp(-p/(0.4 w)), or the Monte-Carlo weights are
+    #: unbounded.
+    characteristic_width: float = 1.0
     family_params: Mapping[str, float] = field(default_factory=dict)
     _mesh_cache: "weakref.WeakKeyDictionary" = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        if self.basis not in (SPIN, HELICITY):
+            raise ConfigurationError(f"unknown basis tag {self.basis!r}")
+        if not (0.0 < self.characteristic_width < np.inf):
+            raise ConfigurationError("characteristic_width must be positive and finite, "
+                                     f"got {self.characteristic_width}")
+
     @property
     def product(self) -> ProductForm | None:
         """The amplitude if it is radially separable, else None."""
         return self.amplitude if isinstance(self.amplitude, ProductForm) else None
-
-    @property
-    def characteristic_width(self) -> float:
-        """Momentum scale that sets the default truncation radius and the
-        radius of ``mc_density``'s proposal, exp(-p/(0.4 w)) on d^3p; so
-        |psi|^2 must decay faster than exp(-p/(0.4 w)), or the Monte-Carlo
-        weights are unbounded."""
-        return float(self.family_params.get("characteristic_width", 1.0))
 
     def components_on(self, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
         """(up, down) evaluated on the grid's broadcast mesh axes.
@@ -185,10 +189,8 @@ def with_basis(state: OneParticleState, basis: Basis) -> OneParticleState:
 
     The per-momentum transform is exactly unitary, so norms and reduced
     matrices are unchanged. Product forms stay product forms: the rotation
-    mixes only the angular factors.
+    mixes only the angular factors. The new state rejects an unknown tag.
     """
-    if basis not in (SPIN, HELICITY):
-        raise ConfigurationError(f"unknown basis tag {basis!r}")
     if basis == state.basis:
         return state
     transform = (
@@ -215,16 +217,16 @@ def with_basis(state: OneParticleState, basis: Basis) -> OneParticleState:
 # ---------------------------------------------------------------------------
 
 def _up_state(basis: Basis, radial: Callable, factor: Callable | None, label: str,
-              **family_params: float) -> OneParticleState:
-    """The state radial(p) * (factor(theta, phi), 0) in ``basis``; no factor
-    means 1."""
+              width: float, **family_params: float) -> OneParticleState:
+    """The state radial(p) * (factor(theta, phi), 0) in ``basis`` with
+    characteristic width ``width``; no factor means 1."""
 
     def angular(theta, phi):
         ones = np.ones(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
         return (ones if factor is None else factor(theta, phi) * ones), np.zeros(ones.shape)
 
     params = {key: float(value) for key, value in family_params.items()}
-    return OneParticleState(basis, ProductForm(radial, angular), label, params)
+    return OneParticleState(basis, ProductForm(radial, angular), label, float(width), params)
 
 
 def _gaussian_radial(tau: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -232,19 +234,20 @@ def _gaussian_radial(tau: float) -> Callable[[np.ndarray], np.ndarray]:
     if not (tau > 0.0):
         raise ConfigurationError(f"tau must be positive, got {tau}")
     prefactor = np.pi ** (-0.75) * tau ** (-1.5)
-    return lambda p: prefactor * np.exp(-(np.asarray(p) ** 2) / (2.0 * tau * tau))
+    factor, _ = _gaussian_profile(tau)
+    return lambda p: prefactor * factor(p)
 
 
 def gaussian_spin_up(tau: float) -> OneParticleState:
     """Isotropic Gaussian packet, spin-up along z, unit norm."""
     return _up_state(SPIN, _gaussian_radial(tau), None, f"gaussian_spin_up(tau={tau:g})",
-                     tau=tau, characteristic_width=tau)
+                     tau, tau=tau)
 
 
 def gaussian_helicity_up(tau: float) -> OneParticleState:
     """Isotropic Gaussian packet in the +1/2 helicity eigenstate, unit norm."""
     return _up_state(HELICITY, _gaussian_radial(tau), None, f"gaussian_helicity_up(tau={tau:g})",
-                     tau=tau, characteristic_width=tau)
+                     tau, tau=tau)
 
 
 def theta_independent_spin_up(
@@ -259,16 +262,12 @@ def theta_independent_spin_up(
     reducing. A profile that vanishes on the whole grid surfaces as a
     degenerate-input error at normalization time.
     """
-    if not (characteristic_width > 0.0):
-        raise ConfigurationError(
-            f"characteristic_width must be positive, got {characteristic_width}"
-        )
     if isinstance(azimuthal_winding, str) or not float(azimuthal_winding).is_integer():
         raise ConfigurationError(f"azimuthal_winding must be an integer, got {azimuthal_winding!r}")
     k = int(float(azimuthal_winding))
     winding = None if k == 0 else (lambda theta, phi: np.exp(1j * k * np.asarray(phi)))
     return _up_state(SPIN, radial_profile, winding, f"theta_independent_spin_up(k={k})",
-                     azimuthal_winding=k, characteristic_width=characteristic_width)
+                     characteristic_width, azimuthal_winding=k)
 
 
 def anisotropic_spin_up(tau: float, alpha: float) -> OneParticleState:
@@ -284,8 +283,7 @@ def anisotropic_spin_up(tau: float, alpha: float) -> OneParticleState:
         raise ConfigurationError(f"alpha must lie in [-1, 1], got {alpha}")
     a = float(alpha)
     return _up_state(SPIN, radial, lambda theta, phi: np.sqrt(1.0 + a * np.cos(theta)),
-                     f"anisotropic_spin_up(tau={tau:g}, alpha={a:g})",
-                     tau=tau, alpha=a, characteristic_width=tau)
+                     f"anisotropic_spin_up(tau={tau:g}, alpha={a:g})", tau, tau=tau, alpha=a)
 
 
 # Named radial profiles usable from scenario files: keyword functions that

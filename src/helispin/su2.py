@@ -6,6 +6,11 @@ represented on two-spinors by
     D(theta, phi) = [[exp(-i*phi/2), 0], [0, exp(i*phi/2)]]
                     @ [[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]]
 
+This D, exp(-i*phi*sigma_z/2) exp(-i*theta*sigma_y/2), fixes the helicity
+basis; the paper's -pi/8 and 0.4917 bits hold for it. With an isotropic
+profile, a spin along (beta, gamma) gives the helicity matrix [[1/2, -(pi/8)
+cos(beta)], [-(pi/8) cos(beta), 1/2]]: 0.4917 bits at beta = 0 up to 1 bit
+at beta = pi/2. Spin matrices and helicity diagonals do not depend on it.
 Spin-basis amplitudes transform into helicity-basis ones with the inverse
 rotation, and back with the rotation itself. The inverse is always taken as
 the conjugate transpose (D is exactly unitary), never a generic inverse.

@@ -32,7 +32,7 @@ def test_criterion_01_theta_independent_reduction_at_default_grid():
     start = time.perf_counter()
     result = execute_scenario(scenario)
     elapsed = time.perf_counter() - start
-    matrix = result.results["helicity_density"].entries
+    matrix = result["results"]["helicity_density"].entries
     deviation = float(np.max(np.abs(matrix - ORACLE_HELICITY)))
     _report(
         1,
@@ -99,9 +99,9 @@ def test_criterion_04_width_independence_sweep():
 def test_criterion_05_isotropic_helicity_reduction():
     scenario = parse_scenario(bundled_scenarios()["eq15_isotropic_helicity"])
     result = execute_scenario(scenario)
-    spin = result.results["spin_density"].entries
+    spin = result["results"]["spin_density"].entries
     matrix_dev = float(np.max(np.abs(spin - 0.5 * np.eye(2))))
-    entropy_dev = abs(result.results["spin_entropy"].entropy_bits - 1.0)
+    entropy_dev = abs(result["results"]["spin_entropy"].entropy_bits - 1.0)
     _report(
         5,
         "isotropic helicity packet has maximally mixed spin",

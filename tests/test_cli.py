@@ -177,6 +177,11 @@ def test_schema_violations_exit_2(tmp_path, capsys):
         ("checks[0].reference[0][1]", {**eq11, "outputs": ["helicity_density"], "checks": [
             {"quantity": "helicity_density", "reference": [[0.5, nan], [0.0, 0.5]], "tol": 1.0}
         ]}),
+        # each part is finite, but the modulus (and so the deviation) is not
+        ("checks[0].reference[0][0]", {**eq11, "outputs": ["helicity_density"], "checks": [
+            {"quantity": "helicity_density", "reference": [[[1.7e308, 1.7e308], 0.0], [0.0, 0.0]],
+             "tol": 1.0}
+        ]}),
     )
     for i, (field, tree) in enumerate(non_finite):
         capsys.readouterr()
@@ -478,7 +483,7 @@ def test_grid_spec_resolves_width_scaled_r_max():
         }
     )
     result = execute_scenario(scenario, compute_convergence=False)
-    assert result.grid.r_max == 16.0  # 8 widths
+    assert result["grid"].r_max == 16.0  # 8 widths
 
 
 def test_sweep_parameter_path_must_exist():

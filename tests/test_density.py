@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import helispin as hs
 from helispin.density import DensityMatrix2, accumulate_outer
 from helispin.errors import ConfigurationError, ContractViolationError, NumericalDomainError
-from helispin.states import OneParticleState
+from helispin.states import OneParticleState, ProductForm
 
 from conftest import random_state
 
@@ -314,3 +314,47 @@ def test_isotropic_helicity_up_spin_density_property(small_grid, profile):
     rho = hs.reduced_spin_density(hs.normalize(state, small_grid), small_grid)
     np.testing.assert_allclose(rho.entries, 0.5 * np.eye(2), rtol=0.0, atol=1e-12)
     assert abs(hs.von_neumann_entropy(rho).entropy_bits - 1.0) <= 1e-12
+
+
+@_isotropy
+@given(profile=_radial_profiles, beta=st.floats(0.0, np.pi), gamma=st.floats(0.0, 2.0 * np.pi),
+       winding=st.integers(-4, 4))
+def test_tilted_spin_density_property(small_grid, profile, beta, gamma, winding):
+    """Product path: a spin chi along (beta, gamma) with any isotropic profile
+    reduces to chi chi^dagger in the spin basis and, for the helicity basis
+    of D = exp(-i phi sigma_z/2) exp(-i theta sigma_y/2), to
+    [[1/2, -(pi/8) cos beta], [-(pi/8) cos beta, 1/2]]. The azimuthal average
+    removes the sign of D's phi phase, so this does not pin that sign."""
+    chi = np.array([np.cos(beta / 2.0), np.exp(1j * gamma) * np.sin(beta / 2.0)])
+
+    def angular(theta, phi):
+        wound = np.exp(1j * winding * np.asarray(phi)) * np.ones(np.shape(theta))
+        return chi[0] * wound, chi[1] * wound
+
+    state = hs.normalize(OneParticleState(hs.SPIN, ProductForm(profile, angular)), small_grid)
+    off = -PI8 * np.cos(beta)
+    rho_h = hs.reduced_helicity_density(state, small_grid).entries
+    np.testing.assert_allclose(rho_h, [[0.5, off], [off, 0.5]], rtol=0.0, atol=1e-12)
+    rho_s = hs.reduced_spin_density(state, small_grid).entries
+    np.testing.assert_allclose(rho_s, np.outer(chi, chi.conj()), rtol=0.0, atol=1e-12)
+
+
+@_isotropy
+@given(a=st.tuples(*[st.floats(-0.55, 0.55)] * 3).map(np.array))
+def test_helicity_dipole_spin_density_property(small_grid, a):
+    """Mesh path: helicity up with |psi|^2 = exp(-p^2) (1 + a.n), n the
+    momentum direction and |a| < 1, reduces to (I + (a/3).sigma)/2 in the
+    spin basis: helicity up along n is the spin state of projector
+    (I + n.sigma)/2, and the average of n (1 + a.n) over the sphere is a/3."""
+
+    def amp(p, theta, phi):
+        n_dot_a = (a[0] * np.sin(theta) * np.cos(phi) + a[1] * np.sin(theta) * np.sin(phi)
+                   + a[2] * np.cos(theta))
+        up = np.sqrt(np.exp(-(np.asarray(p) ** 2)) * (1.0 + n_dot_a))
+        return up, np.zeros_like(up)
+
+    state = hs.normalize(OneParticleState(hs.HELICITY, amp, "dipole"), small_grid)
+    expected = 0.5 * np.array([[1.0 + a[2] / 3.0, (a[0] - 1j * a[1]) / 3.0],
+                               [(a[0] + 1j * a[1]) / 3.0, 1.0 - a[2] / 3.0]])
+    rho_s = hs.reduced_spin_density(state, small_grid).entries
+    np.testing.assert_allclose(rho_s, expected, rtol=0.0, atol=1e-12)

@@ -95,7 +95,7 @@ def test_mc_product_form_matches_bare_evaluator():
     bare = OneParticleState(
         basis=family.basis,
         amplitude=lambda p, theta, phi: pf(p, theta, phi),
-        family_params=family.family_params,
+        characteristic_width=family.characteristic_width,
     )
     assert bare.product is None
     a = mc_density(family, hs.HELICITY, 20_000, seed=5)
@@ -226,7 +226,7 @@ def test_mc_validation():
     state = hs.gaussian_spin_up(1.0)
     with pytest.raises(ConfigurationError):
         mc_density(state, hs.HELICITY, 99, seed=1)
-    # the cap is checked before the tile sums are allocated
+    # the cap is checked up front, before any tile is sampled
     with pytest.raises(ConfigurationError, match=f"at most {MAX_MC_SAMPLES}"):
         mc_density(state, hs.HELICITY, MAX_MC_SAMPLES + 1, seed=1)
     with pytest.raises(ConfigurationError):

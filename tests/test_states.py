@@ -128,6 +128,10 @@ def test_family_parameter_validation():
         hs.anisotropic_spin_up(1.0, 1.5)
     with pytest.raises(ConfigurationError):
         hs.theta_independent_spin_up(lambda p: p, characteristic_width=0.0)
+    # the width sets r_max and the Monte-Carlo proposal, so every state checks it
+    for width in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="characteristic_width"):
+            hs.OneParticleState(hs.SPIN, lambda p, t, f: (p, p), characteristic_width=width)
 
 
 def test_with_basis_round_trip(small_grid):
@@ -153,6 +157,10 @@ def test_with_basis_preserves_norm(default_grid):
 def test_with_basis_rejects_unknown_tag():
     with pytest.raises(ConfigurationError):
         hs.with_basis(hs.gaussian_spin_up(1.0), "chirality")
+    # a state's own tag too: a "Spin" state would reduce as a helicity state
+    for tag in ("Spin", "chirality"):
+        with pytest.raises(ConfigurationError, match="unknown basis tag"):
+            hs.OneParticleState(tag, hs.gaussian_spin_up(1.0).amplitude)
 
 
 def test_winding_phase_preserves_norm(default_grid):
