@@ -1,11 +1,15 @@
 """Declarative scenario runner.
 
-Scenario and sweep inputs are JSON trees with a ``schema_version`` field;
-reports are JSON emitted by a deterministic writer (sorted keys, each float
-as the shortest text that reads back to the same double, complex numbers as
-[re, im] pairs, LF endings, no timestamps), so identical inputs produce
-byte-identical reports on one machine, numpy build and CPU dispatch.
-Sweep tables are CSV with a header row.
+Scenario and sweep inputs are JSON trees with a ``schema_version`` field.
+``parse_scenario`` and ``parse_sweep`` return the checked tree as plain data,
+``grid`` ``{}`` and ``mc`` ``None`` filled in where absent, and
+``execute_scenario`` runs that tree. A grid's ``r_max`` defaults to 8 state
+widths; a default that overflows is an input error that asks for
+``grid.r_max``. Reports are JSON emitted by a deterministic writer (sorted
+keys, each float as the shortest text that reads back to the same double,
+complex numbers as [re, im] pairs, LF endings, no timestamps), so identical
+inputs produce byte-identical reports on one machine, numpy build and CPU
+dispatch. Sweep tables are CSV with a header row.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 input error, 3 numerical
 error, 4 I/O error.
@@ -17,7 +21,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
@@ -34,15 +38,7 @@ from .density import (
 )
 from .errors import ConfigurationError, HelispinError, ScenarioParseError
 from .oracles import MAX_MC_SAMPLES, ORACLES, mc_density
-from .quadrature import (
-    DEFAULT_N_PHI,
-    DEFAULT_N_R,
-    DEFAULT_N_THETA,
-    R_MAX_WIDTHS,
-    QuadratureGrid,
-    build_grid,
-    refine,
-)
+from .quadrature import R_MAX_WIDTHS, QuadratureGrid, build_grid, refine
 from .states import FAMILIES, OneParticleState, build_state, normalize
 
 SCHEMA_VERSION = 1
@@ -52,62 +48,6 @@ MC_SIGMA_BOUND = 4.0
 #: Largest n_r, n_theta or n_phi a scenario may ask for. Each Gauss-Legendre
 #: rule costs O(n^2) time and memory, and the convergence pass doubles it.
 MAX_GRID_COUNT = 512
-
-
-# ---------------------------------------------------------------------------
-# Configuration dataclasses
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridSpec:
-    n_r: int = DEFAULT_N_R
-    n_theta: int = DEFAULT_N_THETA
-    n_phi: int = DEFAULT_N_PHI
-    r_max: float | None = None  # None: 8x the state's characteristic width
-
-    def resolve(self, state: OneParticleState) -> QuadratureGrid:
-        r_max = self.r_max if self.r_max is not None else R_MAX_WIDTHS * state.characteristic_width
-        return build_grid(self.n_r, self.n_theta, self.n_phi, float(r_max))
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    quantity: str
-    reference: Any  # oracle name, scalar, or 2x2 matrix
-    tol: float
-
-
-@dataclass(frozen=True)
-class McSpec:
-    n_samples: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    family: str
-    params: dict[str, Any]
-    grid: GridSpec
-    outputs: tuple[str, ...]
-    checks: tuple[CheckSpec, ...] = ()
-    mc: McSpec | None = None
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    name: str
-    parameter_path: str
-    values: tuple[int | float, ...]
-    points: tuple[Scenario, ...]  # the base scenario at each value
-    outputs: tuple[str, ...]
-    selectors: tuple[tuple[str, Any], ...]  # (quantity, component) of each output
-
-
-@dataclass(frozen=True)
-class CheckResult(CheckSpec):
-    deviation: float
-    passed: bool
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +75,24 @@ def _known_fields(node: dict, keys: set[str], where: str) -> None:
     _expect(set(node) <= keys, where, f"unknown fields {sorted(set(node) - keys)}")
 
 
-def _parse_grid(node: Any, where: str) -> GridSpec:
+def _parse_grid(node: Any, where: str) -> dict[str, Any]:
+    """The counts and ``r_max`` a grid node gives, as ``build_grid``
+    keywords; ``build_grid`` and the state's width fill in the rest."""
     if node is None:
-        return GridSpec()
+        return {}
     _expect(isinstance(node, dict), where, "grid must be an object")
     _known_fields(node, {"n_r", "n_theta", "n_phi", "r_max"}, where)
-    counts = {}
+    grid = {}
     for key in ("n_r", "n_theta", "n_phi"):
         if key in node:
             _expect(_is_int(node[key]), f"{where}.{key}", "must be an integer")
             _expect(node[key] <= MAX_GRID_COUNT, f"{where}.{key}",
                     f"must be at most {MAX_GRID_COUNT}")
-            counts[key] = node[key]
-    r_max = node.get("r_max")
-    if r_max is not None:
-        _expect(_is_number(r_max), f"{where}.r_max", "must be a finite number")
-        r_max = float(r_max)
-    return GridSpec(**counts, r_max=r_max)
+            grid[key] = node[key]
+    if node.get("r_max") is not None:
+        _expect(_is_number(node["r_max"]), f"{where}.r_max", "must be a finite number")
+        grid["r_max"] = float(node["r_max"])
+    return grid
 
 
 def _parse_reference(node: Any, quantity: str, where: str) -> Any:
@@ -193,7 +134,8 @@ def _parse_name(tree: Any, where: str, kind: str, fields: set[str]) -> str:
     return name
 
 
-def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
+def parse_scenario(tree: Any, where: str = "scenario") -> dict[str, Any]:
+    """The checked scenario: name, state, grid, outputs, checks and mc."""
     name = _parse_name(tree, where, "scenario", {"state", "grid", "outputs", "checks", "mc"})
 
     state_node = tree.get("state")
@@ -231,7 +173,7 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
         tol = node.get("tol")
         _expect(_is_number(tol) and tol > 0, f"{cw}.tol", "must be a positive finite number")
         reference = _parse_reference(node.get("reference"), quantity, f"{cw}.reference")
-        checks.append(CheckSpec(quantity=quantity, reference=reference, tol=float(tol)))
+        checks.append({"quantity": quantity, "reference": reference, "tol": float(tol)})
 
     mc = None
     if tree.get("mc") is not None:
@@ -247,20 +189,21 @@ def parse_scenario(tree: Any, where: str = "scenario") -> Scenario:
                 "must be an integer in [0, 2**64)")
         _expect(any(q.endswith("_density") for q in outputs), mw,
                 "mc requires at least one density output")
-        mc = McSpec(n_samples=n, seed=seed)
+        mc = {"n_samples": n, "seed": seed}
 
-    return Scenario(
-        name=name,
-        family=family,
-        params=dict(params),
-        grid=_parse_grid(tree.get("grid"), f"{where}.grid"),
-        outputs=tuple(outputs),
-        checks=tuple(checks),
-        mc=mc,
-    )
+    return {
+        "name": name,
+        "state": {"family": family, "params": dict(params)},
+        "grid": _parse_grid(tree.get("grid"), f"{where}.grid"),
+        "outputs": list(outputs),
+        "checks": checks,
+        "mc": mc,
+    }
 
 
-def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
+def parse_sweep(tree: Any, where: str = "sweep") -> dict[str, Any]:
+    """The checked sweep: name, path, values as written, points (the parsed
+    scenario at each value), outputs and selectors ((quantity, component))."""
     name = _parse_name(tree, where, "sweep", {"scenario", "parameter", "outputs"})
     scenario = tree.get("scenario")
     _expect(isinstance(scenario, dict), f"{where}.scenario", "must be an object")
@@ -291,21 +234,21 @@ def parse_sweep(tree: Any, where: str = "sweep") -> SweepSpec:
     for i, sel in enumerate(outputs):
         _expect(isinstance(sel, str), f"{where}.outputs[{i}]", "must be a string")
         quantity, component = _parse_selector(sel, f"{where}.outputs[{i}]")
-        _expect(quantity in _computed(base.outputs), f"{where}.outputs[{i}]",
+        _expect(quantity in _computed(base["outputs"]), f"{where}.outputs[{i}]",
                 f"{quantity!r} is not computed; list it (or its entropy) in the scenario's outputs")
         selectors.append((quantity, component))
 
-    return SweepSpec(
-        name=name,
-        parameter_path=path,
-        values=tuple(values),
-        points=tuple(
+    return {
+        "name": name,
+        "path": path,
+        "values": list(values),
+        "points": [
             parse_scenario(_with_value(scenario, keys, v), f"{where}.scenario[{path}={v!r}]")
             for v in values
-        ),
-        outputs=tuple(outputs),
-        selectors=tuple(selectors),
-    )
+        ],
+        "outputs": list(outputs),
+        "selectors": selectors,
+    }
 
 
 def _with_value(tree: dict, keys: list[str], value: Any) -> dict:
@@ -364,36 +307,40 @@ def _deviation(quantity: str, computed: Any, reference: Any) -> float:
     return float(np.max(np.abs(computed.entries - ref)))
 
 
-def execute_scenario(scenario: Scenario, compute_convergence: bool = True) -> dict[str, Any]:
-    """Run one scenario (build, normalize, reduce, check); returns its
+def execute_scenario(scenario: dict[str, Any], compute_convergence: bool = True) -> dict[str, Any]:
+    """Run one parsed scenario (build, normalize, reduce, check); returns its
     report tree, :func:`report_tree`'s head and the verdicts."""
-    state = build_state(scenario.family, scenario.params)
-    grid = scenario.grid.resolve(state)
-    results = _compute_quantities(state, grid, scenario.outputs)
+    state = build_state(**scenario["state"])
+    r_max = R_MAX_WIDTHS * state.characteristic_width  # the default: 8 widths
+    if "r_max" not in scenario["grid"] and not math.isfinite(r_max):
+        raise ConfigurationError(f"the default r_max, {R_MAX_WIDTHS:g} x the state's width "
+                                 f"{state.characteristic_width:g}, is not finite; set grid.r_max")
+    grid = build_grid(**{"r_max": r_max, **scenario["grid"]})
+    outputs = scenario["outputs"]
+    results = _compute_quantities(state, grid, outputs)
     report = report_tree(scenario, grid, results)
 
     if compute_convergence:
         refined_grid = refine(grid)
-        refined = _compute_quantities(state, refined_grid, scenario.outputs)
+        refined = _compute_quantities(state, refined_grid, outputs)
         delta = max(_deviation(key, value, refined[key]) for key, value in results.items())
         report["convergence"] = {"refined_grid": refined_grid, "max_delta": delta}
 
     checks = []
-    for spec in scenario.checks:
-        deviation = _deviation(spec.quantity, results[spec.quantity], spec.reference)
-        checks.append(CheckResult(**vars(spec), deviation=deviation, passed=deviation <= spec.tol))
+    for check in scenario["checks"]:
+        deviation = _deviation(check["quantity"], results[check["quantity"]], check["reference"])
+        checks.append({**check, "deviation": deviation, "passed": deviation <= check["tol"]})
     if checks:
         report["checks"] = checks
 
-    if scenario.mc is not None:
+    mc = scenario["mc"]
+    if mc is not None:
         estimates: dict[str, Any] = {}
-        for quantity in scenario.outputs:
+        for quantity in outputs:
             if not quantity.endswith("_density"):
                 continue
             basis = quantity.split("_")[0]
-            estimate = mc_density(
-                state, basis, scenario.mc.n_samples, scenario.mc.seed
-            )
+            estimate = mc_density(state, basis, mc["n_samples"], mc["seed"])
             max_sigma = float(np.max(estimate.sigma_distance(results[quantity].entries)))
             estimates[quantity] = {
                 "value": estimate.value,
@@ -402,12 +349,7 @@ def execute_scenario(scenario: Scenario, compute_convergence: bool = True) -> di
                 "max_sigma_distance": max_sigma,
                 "within_bound": bool(max_sigma <= MC_SIGMA_BOUND),
             }
-        report["mc"] = {
-            "n_samples": scenario.mc.n_samples,
-            "seed": scenario.mc.seed,
-            "sigma_bound": MC_SIGMA_BOUND,
-            "estimates": estimates,
-        }
+        report["mc"] = {**mc, "sigma_bound": MC_SIGMA_BOUND, "estimates": estimates}
     report["all_checks_passed"] = not failed_quantities(report)
     return report
 
@@ -415,13 +357,13 @@ def execute_scenario(scenario: Scenario, compute_convergence: bool = True) -> di
 def failed_quantities(report: dict[str, Any]) -> list[str]:
     """The quantities of a report's failed checks, then of its Monte-Carlo
     estimates outside their bound."""
-    failed = [c.quantity for c in report.get("checks", ()) if not c.passed]
+    failed = [c["quantity"] for c in report.get("checks", ()) if not c["passed"]]
     if "mc" in report:
         failed += [q for q, block in report["mc"]["estimates"].items() if not block["within_bound"]]
     return failed
 
 
-def execute_sweep(sweep: SweepSpec, failures: list[str] | None = None) -> list[list[str]]:
+def execute_sweep(sweep: dict[str, Any], failures: list[str] | None = None) -> list[list[str]]:
     """Run every sweep point as parsed; returns CSV rows (header first).
 
     A row's status is ``ok``, ``fail:<quantity>`` naming its first failing
@@ -429,17 +371,17 @@ def execute_sweep(sweep: SweepSpec, failures: list[str] | None = None) -> list[l
     cells. Each row that is not ok appends ``point <value>: <status>`` to
     ``failures``, an error with its message.
     """
-    rows = [[sweep.parameter_path, *sweep.outputs, "status"]]
-    for value, point in zip(sweep.values, sweep.points):
+    rows = [[sweep["path"], *sweep["outputs"], "status"]]
+    for value, point in zip(sweep["values"], sweep["points"]):
         cells = [repr(value)]  # a JSON integer as written, a float as in reports
         try:
             result = execute_scenario(point, compute_convergence=False)
         except HelispinError as exc:
             status = f"error:{type(exc).__name__}"
-            rows.append(cells + [""] * len(sweep.selectors) + [status])
+            rows.append(cells + [""] * len(sweep["selectors"]) + [status])
             reason = f"{status}: {exc}"
         else:
-            for quantity, component in sweep.selectors:
+            for quantity, component in sweep["selectors"]:
                 value_obj = result["results"][quantity]
                 if component is None:
                     cells.append(_format_float(value_obj.entropy_bits))
@@ -464,17 +406,13 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def report_tree(scenario: Scenario, grid: QuadratureGrid, results: dict) -> dict[str, Any]:
+def report_tree(scenario: dict[str, Any], grid: QuadratureGrid, results: dict) -> dict[str, Any]:
     """The head of a scenario's report, a tree of JSON values and the result
     objects that :func:`dumps_deterministic` knows how to write."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "helispin", "version": __version__},
-        "scenario": {
-            "name": scenario.name,
-            "state": {"family": scenario.family, "params": scenario.params},
-            "outputs": scenario.outputs,
-        },
+        "scenario": {key: scenario[key] for key in ("name", "state", "outputs")},
         "grid": grid,
         "results": results,
     }
@@ -486,7 +424,7 @@ def _report_value(obj: Any) -> Any:
         return {"basis": obj.basis, "matrix": obj.entries}
     if isinstance(obj, QuadratureGrid):
         return {"n_r": obj.n_r, "n_theta": obj.n_theta, "n_phi": obj.n_phi, "r_max": obj.r_max}
-    if isinstance(obj, (EntropyReport, CheckResult)):
+    if isinstance(obj, EntropyReport):
         return asdict(obj)
     if isinstance(obj, np.ndarray):
         return (np.stack([obj.real, obj.imag], axis=-1) if np.iscomplexobj(obj) else obj).tolist()
@@ -571,12 +509,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = parse_scenario(tree)
     report = execute_scenario(scenario)
     text = dumps_deterministic(report)
-    out_path = Path(args.out) if args.out else Path(f"{scenario.name}.report.json")
+    out_path = Path(args.out) if args.out else Path(f"{scenario['name']}.report.json")
     out_path.write_text(text, encoding="utf-8", newline="\n")
     for check in report.get("checks", ()):
-        status = "PASS" if check.passed else "FAIL"
-        print(f"check {check.quantity}: deviation {_format_float(check.deviation)} "
-              f"tol {_format_float(check.tol)} {status}")
+        status = "PASS" if check["passed"] else "FAIL"
+        print(f"check {check['quantity']}: deviation {_format_float(check['deviation'])} "
+              f"tol {_format_float(check['tol'])} {status}")
     if "mc" in report:
         for key, block in sorted(report["mc"]["estimates"].items()):
             status = "PASS" if block["within_bound"] else "FAIL"
@@ -590,7 +528,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = parse_sweep(load_input(args.sweep))
     failures: list[str] = []
     rows = execute_sweep(sweep, failures)
-    out_path = Path(args.out) if args.out else Path(f"{sweep.name}.csv")
+    out_path = Path(args.out) if args.out else Path(f"{sweep['name']}.csv")
     write_csv(rows, out_path)
     for line in failures:
         print(line)

@@ -30,6 +30,7 @@ from .su2 import (
     SPIN,
     HELICITY,
     Basis,
+    check_basis,
     helicity_components_to_spin,
     spin_components_to_helicity,
 )
@@ -54,8 +55,7 @@ class DensityMatrix2:
             raise ConfigurationError(f"expected a 2x2 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise NumericalDomainError("density matrix entries must be finite")
-        if self.basis not in (SPIN, HELICITY):
-            raise ConfigurationError(f"unknown basis tag {self.basis!r}")
+        check_basis(self.basis)
         hi, lo = eigenvalues_hermitian2(m)  # checks Hermiticity
         tr = m[0, 0].real + m[1, 1].real
         if abs(tr - 1.0) > MATRIX_TOL or abs(m[0, 0].imag + m[1, 1].imag) > MATRIX_TOL:

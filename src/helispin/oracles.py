@@ -32,6 +32,7 @@ from .su2 import (
     SPIN,
     HELICITY,
     Basis,
+    check_basis,
     helicity_components_to_spin,
     spin_components_to_helicity,
 )
@@ -142,8 +143,7 @@ def mc_density(
     stand-in: the tiles run in tile order whatever its value, so it cannot
     change the returned bits.
     """
-    if target_basis not in (SPIN, HELICITY):
-        raise ConfigurationError(f"unknown basis tag {target_basis!r}")
+    check_basis(target_basis)
     if n_samples < 100:
         raise ConfigurationError(f"n_samples must be >= 100, got {n_samples}")
     if n_samples > MAX_MC_SAMPLES:

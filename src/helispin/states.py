@@ -44,6 +44,7 @@ from .su2 import (
     SPIN,
     HELICITY,
     Basis,
+    check_basis,
     helicity_components_to_spin,
     spin_components_to_helicity,
 )
@@ -90,8 +91,7 @@ class OneParticleState:
     )
 
     def __post_init__(self) -> None:
-        if self.basis not in (SPIN, HELICITY):
-            raise ConfigurationError(f"unknown basis tag {self.basis!r}")
+        check_basis(self.basis)
         if not (0.0 < self.characteristic_width < np.inf):
             raise ConfigurationError("characteristic_width must be positive and finite, "
                                      f"got {self.characteristic_width}")

@@ -32,6 +32,12 @@ SPIN: Basis = "spin"
 HELICITY: Basis = "helicity"
 
 
+def check_basis(tag: str) -> None:
+    """Raise ``ConfigurationError`` unless ``tag`` is ``SPIN`` or ``HELICITY``."""
+    if tag not in (SPIN, HELICITY):
+        raise ConfigurationError(f"unknown basis tag {tag!r}")
+
+
 @dataclass(frozen=True)
 class AmplitudePair:
     """The two complex amplitudes at one momentum, tagged with their basis."""
@@ -41,8 +47,7 @@ class AmplitudePair:
     basis: Basis
 
     def __post_init__(self) -> None:
-        if self.basis not in (SPIN, HELICITY):
-            raise ConfigurationError(f"unknown basis tag {self.basis!r}")
+        check_basis(self.basis)
         if not (np.isfinite(self.up) and np.isfinite(self.down)):
             raise ConfigurationError("amplitude components must be finite")
 

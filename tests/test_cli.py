@@ -48,6 +48,41 @@ def test_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_report_shape(tmp_path):
+    """The key sets of every block of a report with checks and --mc."""
+    out = tmp_path / "report.json"
+    assert main(["run", "eq10_theta_independent", "--out", str(out), "--mc", "2000,7"]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"schema_version", "tool", "scenario", "grid", "results",
+                           "convergence", "checks", "mc", "all_checks_passed"}
+    assert set(report["scenario"]) == {"name", "state", "outputs"}
+    assert set(report["grid"]) == {"n_r", "n_theta", "n_phi", "r_max"}
+    assert set(report["convergence"]) == {"refined_grid", "max_delta"}
+    assert len(report["checks"]) == 2
+    for check in report["checks"]:
+        assert set(check) == {"quantity", "reference", "tol", "deviation", "passed"}
+    assert set(report["mc"]) == {"n_samples", "seed", "sigma_bound", "estimates"}
+    assert set(report["mc"]["estimates"]) == {"helicity_density"}
+    for block in report["mc"]["estimates"].values():
+        assert set(block) == {"value", "std_error", "effective_sample_size",
+                              "max_sigma_distance", "within_bound"}
+
+
+def test_execute_scenario_leaves_parsed_tree_alone():
+    """A parsed scenario is plain data: running it twice changes none of it
+    and gives the same report bytes."""
+    tree = bundled_scenarios()["eq10_theta_independent"]
+    tree["grid"] = {"n_r": 16, "n_theta": 16, "n_phi": 8}
+    tree["checks"].append({"quantity": "helicity_entropy", "reference": 0.5, "tol": 0.1})
+    tree["mc"] = {"n_samples": 2000, "seed": 7}
+    scenario = parse_scenario(tree)
+    before = copy.deepcopy(scenario)
+    first = dumps_deterministic(execute_scenario(scenario))
+    second = dumps_deterministic(execute_scenario(scenario))
+    assert scenario == before
+    assert first == second
+
+
 def test_convergence_metadata_below_check_tolerance(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", "eq10_theta_independent", "--out", str(out)]) == 0
@@ -159,7 +194,7 @@ def test_schema_violations_exit_2(tmp_path, capsys):
     assert "checks[0].quantity" in capsys.readouterr().err
     implied = {**eq11, "checks": [{**check, "quantity": "helicity_density",
                                    "reference": "theta_independent_helicity_matrix"}]}
-    assert parse_scenario(implied).checks[0].quantity == "helicity_density"
+    assert parse_scenario(implied)["checks"][0]["quantity"] == "helicity_density"
     # an oracle reference gives a matrix or an entropy, as its check needs
     matrix_oracle = {**eq11, "checks": [{**check, "quantity": "helicity_entropy",
                                          "reference": "isotropic_helicity_spin_matrix"}]}
@@ -473,17 +508,27 @@ def test_parse_selector_validation(tmp_path):
             parse_sweep({**sweep, "outputs": [selector]})
 
 
-def test_grid_spec_resolves_width_scaled_r_max():
-    scenario = parse_scenario(
-        {
-            "schema_version": 1,
-            "name": "wide",
-            "state": {"family": "gaussian_spin_up", "params": {"tau": 2.0}},
-            "outputs": ["spin_density"],
-        }
-    )
-    result = execute_scenario(scenario, compute_convergence=False)
+def test_grid_spec_resolves_width_scaled_r_max(tmp_path, capsys):
+    tree = {
+        "schema_version": 1,
+        "name": "wide",
+        "state": {"family": "gaussian_spin_up", "params": {"tau": 2.0}},
+        "outputs": ["spin_density"],
+    }
+    result = execute_scenario(parse_scenario(tree), compute_convergence=False)
     assert result["grid"].r_max == 16.0  # 8 widths
+    # a finite width whose 8 widths overflow names the width and the field to
+    # set, not the r_max the input never gave
+    for i, (state, width) in enumerate((
+        ({"family": "gaussian_spin_up", "params": {"tau": 1e308}}, "1e+308"),
+        ({"family": "theta_independent_spin_up",
+          "params": {"profile": "linear_exp", "scale": 1e307}}, "2.5e+307"),
+    )):
+        path = _write(tmp_path, f"overflow{i}.json", {**tree, "state": state})
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"the state's width {width}, is not finite; set grid.r_max" in err
 
 
 def test_sweep_parameter_path_must_exist():
