@@ -35,9 +35,9 @@ MUTANTS = [
      "return d00 * up + d01 * down, d10 * up + d11 * down", None),
     ("full in place of half angles", "src/helispin/su2.py",
      "half = 0.5 * np.asarray(theta", "half = 1.0 * np.asarray(theta", None),
-    ("outer product conjugates up", "src/helispin/density.py",
+    ("outer product conjugates up", "src/helispin/states.py",
      "ud = measure(up * np.conj(down))", "ud = measure(np.conj(up) * down)", None),
-    ("outer product filled transposed", "src/helispin/density.py",
+    ("outer product filled transposed", "src/helispin/states.py",
      "out[0, 1], out[1, 0] = ud, np.conj(ud)", "out[0, 1], out[1, 0] = np.conj(ud), ud", None),
     ("polar weight without sin(theta)", "src/helispin/quadrature.py",
      "wtheta = wt * np.sin(theta)", "wtheta = wt * 1.0", None),
@@ -60,6 +60,16 @@ MUTANTS = [
      "ess = float(min(trace * trace / sum_b2, n_samples))", "ess = float(n_samples)", None),
     ("Monte-Carlo standard errors doubled", "src/helispin/oracles.py",
      "std_error = np.sqrt(", "std_error = 2.0 * np.sqrt(", None),
+    ("conjugation on one side only (D^dagger M)", "src/helispin/density.py",
+     "h_up, h_down = to_source(1.0, 0.0, theta, phi)", "h_up, h_down = 1.0, 0.0", None),
+    ("second transform of the conjugation reversed", "src/helispin/density.py",
+     "z00, du = to_target(moments[0, 0] * h_up", "z00, du = to_source(moments[0, 0] * h_up",
+     None),
+    ("radial sum weighted by w_r, not w_r p^2", "src/helispin/quadrature.py",
+     "weights = self.radial_measure[slab, None, None]",
+     "weights = self.radial_weights[slab, None, None]", None),
+    ("radial sum keeps only the last slab", "src/helispin/quadrature.py",
+     "total = total + values(slab,", "total = 0.0 + values(slab,", None),
 ]
 
 

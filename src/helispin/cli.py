@@ -346,7 +346,8 @@ def execute_scenario(scenario: dict[str, Any], compute_convergence: bool = True)
                 "value": estimate.value,
                 "std_error": estimate.std_error,
                 "effective_sample_size": estimate.ess,
-                "max_sigma_distance": max_sigma,
+                # JSON has no infinity: a real gap over a zero standard error is null
+                "max_sigma_distance": max_sigma if math.isfinite(max_sigma) else None,
                 "within_bound": bool(max_sigma <= MC_SIGMA_BOUND),
             }
         report["mc"] = {**mc, "sigma_bound": MC_SIGMA_BOUND, "estimates": estimates}
@@ -518,8 +519,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if "mc" in report:
         for key, block in sorted(report["mc"]["estimates"].items()):
             status = "PASS" if block["within_bound"] else "FAIL"
+            distance = block["max_sigma_distance"]
             print(f"mc {key}: max sigma distance "
-                  f"{_format_float(block['max_sigma_distance'])} {status}")
+                  f"{'inf' if distance is None else _format_float(distance)} {status}")
     print(f"report: {out_path}")
     return 0 if report["all_checks_passed"] else 1
 

@@ -1,18 +1,14 @@
 """Reduction of a pure one-particle state to a 2x2 spin or helicity matrix,
 and the matrix's spectrum and binary von Neumann entropy.
 
-Tracing out momentum turns the state into the weighted sum over grid nodes
-of a a^dagger, a its two-component amplitude. The nodes and the sum come
-from :func:`helispin.states.on_grid`, which owns the layout of the state on
-the grid. When the state is stored in the other basis, the amplitudes are
-first rotated node by node (algebraically identical to conjugating each
-a a^dagger with the rotation, at half the per-node work).
-
-One kernel, :func:`accumulate_outer`, serves every reduction: it sums only
-the three unique entries |up|^2, |down|^2 and up*conj(down), in the grid's
-one summation order, and fills in entry (1, 0) as the conjugate of (0, 1),
-so the matrix is Hermitian by construction. Normalization is re-enforced by
-dividing by the on-grid norm so the trace is 1 to machine precision.
+Tracing out momentum is the weighted sum over grid nodes of a a^dagger, a the
+two-component amplitude. The spin-helicity rotation D depends on the
+direction only, so :func:`helispin.states.on_grid` first sums over p into a
+2x2 moment matrix M per direction, and a reduction in the other basis
+conjugates each M (D^dagger M D into helicity, D M D^dagger into spin) before
+the angular sum. Both fill one off-diagonal entry as the conjugate of the
+other, so the matrix is Hermitian by construction; dividing by the on-grid
+norm makes its trace 1 to machine precision.
 
 The spectrum comes from one closed form, :func:`eigenvalues_hermitian2`, so the
 pi/8-type matrices evaluate exactly; entropy is in bits, with 0*log(0) = 0.
@@ -25,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalDomainError
 from .quadrature import QuadratureGrid
-from .states import OneParticleState, on_grid
+from .states import OneParticleState, accumulate_outer, on_grid  # noqa: F401  (re-exported)
 from .su2 import (
     SPIN,
     HELICITY,
@@ -118,35 +114,24 @@ def von_neumann_entropy(m) -> EntropyReport:
     return EntropyReport(eigenvalues=eigs, entropy_bits=float(s))
 
 
-def accumulate_outer(measure, up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """Weighted sum of the matrices a a^dagger, a = (up, down), Hermitian by
-    construction.
-
-    Only |up|^2, |down|^2 and up*conj(down) are reduced; entry (1, 0) is the
-    conjugate of entry (0, 1). ``measure`` is a function that reduces an
-    entry array (the measure of :func:`helispin.states.on_grid`, a Monte-Carlo
-    tile's moments). Axes of that reduction follow the two matrix axes.
-    """
-    uu = measure(up.real**2 + up.imag**2)
-    dd = measure(down.real**2 + down.imag**2)
-    ud = measure(up * np.conj(down))
-    out = np.empty((2, 2) + np.shape(ud), dtype=np.complex128)
-    out[0, 0], out[1, 1] = uu, dd
-    out[0, 1], out[1, 0] = ud, np.conj(ud)
-    return out
-
-
 def _reduce(state: OneParticleState, grid: QuadratureGrid, target: Basis) -> DensityMatrix2:
-    """Reduce on the grid in the layout :func:`on_grid` picks for the state."""
-    up, down, theta, phi, measure = on_grid(state, grid)
+    """The angular sum of the state's moments (:func:`on_grid`), conjugated
+    into ``target`` per direction if the state is stored in the other basis,
+    over its trace; filled in Hermitian from the diagonal and entry (1, 0)."""
+    moments = on_grid(state, grid)
+    uu, dd, du = moments[0, 0].real, moments[1, 1].real, moments[1, 0]
     if state.basis != target:
-        transform = (
-            spin_components_to_helicity
-            if target == HELICITY
-            else helicity_components_to_spin
-        )
-        up, down = transform(up, down, theta, phi)
-    raw = accumulate_outer(measure, up, down)
+        pair = (spin_components_to_helicity, helicity_components_to_spin)
+        to_target, to_source = pair if target == HELICITY else pair[::-1]
+        theta, phi = grid.theta_mesh[0], grid.phi_mesh[0]
+        # h = D e_0, the target's first basis spinor in the state's basis: column 0
+        # of D^dagger M D is D^dagger (M h) (D M D^dagger alike); the trace is M's
+        h_up, h_down = to_source(1.0, 0.0, theta, phi)
+        z00, du = to_target(moments[0, 0] * h_up + moments[0, 1] * h_down,
+                            moments[1, 0] * h_up + moments[1, 1] * h_down, theta, phi)
+        uu, dd = z00.real, uu + dd - z00.real
+    s_uu, s_dd, s_du = grid.angular_sum(uu), grid.angular_sum(dd), grid.angular_sum(du)
+    raw = np.array([[s_uu, np.conj(s_du)], [s_du, s_dd]])
     norm = raw[0, 0].real + raw[1, 1].real
     if abs(norm - 1.0) > NORM_TOL:
         raise ContractViolationError(
@@ -161,8 +146,8 @@ def _reduce(state: OneParticleState, grid: QuadratureGrid, target: Basis) -> Den
 def reduced_spin_density(state: OneParticleState, grid: QuadratureGrid) -> DensityMatrix2:
     """Trace out momentum, reporting the 2x2 matrix in the spin basis.
 
-    Spin-tagged states reduce directly; helicity-tagged ones are rotated to
-    the spin basis at each node first.
+    Spin-tagged states reduce directly; the moments of helicity-tagged ones
+    are rotated to the spin basis direction by direction first.
     """
     return _reduce(state, grid, SPIN)
 

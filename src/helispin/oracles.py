@@ -25,9 +25,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .density import DensityMatrix2, accumulate_outer, von_neumann_entropy
+from .density import DensityMatrix2, von_neumann_entropy
 from .errors import ConfigurationError, DegenerateInputError, NumericalDomainError
-from .states import OneParticleState
+from .states import OneParticleState, accumulate_outer
 from .su2 import (
     SPIN,
     HELICITY,
@@ -53,6 +53,11 @@ _DRAWS_PER_SAMPLE = 5
 #: weights stay bounded. At 0.4 the radial ESS/n is 0.89 for a Gaussian,
 #: 0.85 for linear_exp and 0.34 for a shell; 0.5 gives less for all three.
 PROPOSAL_WIDTH = 0.4
+#: Largest gap from a reference that reads as agreement whatever the standard
+#: error: the roundoff of a unit-trace entry. Entries of a state pure in the
+#: target basis have standard errors of 0, and gaps of 2e-16 (10^4 samples)
+#: to 6e-16 (4*10^6); 1e-13 leaves room for 10^9 samples.
+ROUNDOFF_GAP = 1e-13
 #: Largest sample count ``mc_density`` takes: the run time grows linearly,
 #: to minutes at the cap.
 MAX_MC_SAMPLES = 10**9
@@ -77,11 +82,11 @@ class McEstimate:
 
     def sigma_distance(self, reference: np.ndarray) -> np.ndarray:
         """Per-entry distance of ``reference`` from the estimate in standard
-        errors: 0 where they agree exactly, infinite where any other gap
-        meets a zero standard error."""
+        errors: 0 where the gap is at most ``ROUNDOFF_GAP``, infinite where a
+        larger gap meets a zero standard error."""
         gap = np.abs(reference - self.value)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(gap == 0.0, 0.0, gap / self.std_error)
+            return np.where(gap <= ROUNDOFF_GAP, 0.0, gap / self.std_error)
 
 
 def oracle_helicity_matrix_theta_independent() -> DensityMatrix2:

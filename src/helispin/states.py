@@ -9,10 +9,9 @@ and (1, 1, n_phi). Mesh evaluations are checked by the grid and cached per
 ``normalize`` hands its cached evaluation on to the normalized state.
 
 A radially separable state (every built-in one) has a :class:`ProductForm`
-as its amplitude. :func:`on_grid` is the one place that picks a layout:
-a product state is laid out on the (theta, phi) sub-grid with its radial sum
-factored out, any other state on the full mesh. Norms and reductions both
-read that layout.
+as its amplitude. Momentum enters the spin-helicity rotation only through
+its direction, so norms and reductions read one thing, :func:`on_grid`: the
+2x2 moments per direction, summed over p by the kernel :func:`accumulate_outer`.
 
 Built-in families:
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -61,8 +59,8 @@ class ProductForm:
     components times one angular spinor.
 
     ``angular(theta, phi)`` returns the (up, down) pair, so a basis change
-    rotates the spinor once. Reductions and norms of such states factor into
-    a radial sum times small angular sums, which keeps large grids cheap.
+    rotates the spinor once. The moments of such a state are one radial sum
+    times the angular outer products, which keeps large grids cheap.
     """
 
     radial: Callable[[np.ndarray], np.ndarray]
@@ -127,36 +125,56 @@ class OneParticleState:
         return up, down
 
 
-def on_grid(state: OneParticleState, grid: QuadratureGrid):
-    """The state laid out for a grid sum: ``(up, down, theta, phi, measure)``.
+def accumulate_outer(measure, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Weighted sum of the matrices a a^dagger, a = (up, down), Hermitian by
+    construction.
 
-    A product state gives its angular pair on the (theta, phi) sub-grid and a
-    ``measure`` that multiplies the angular sum by the radial sum of
-    |radial|^2. Any other state gives its components on the mesh and
-    ``grid.mesh_sum``. Every evaluated factor passes the grid's mesh check.
-    ``theta`` and ``phi`` broadcast against the components, so a basis change
-    can rotate them node by node, and ``measure`` reduces any array of their
-    shape.
+    Only |up|^2, |down|^2 and up*conj(down) are reduced; entry (1, 0) is the
+    conjugate of entry (0, 1). ``measure`` is a function that reduces an
+    entry array (a grid's radial sum, a Monte-Carlo tile's moments). Axes of
+    that reduction follow the two matrix axes.
     """
+    uu = measure(up.real**2 + up.imag**2)
+    dd = measure(down.real**2 + down.imag**2)
+    ud = measure(up * np.conj(down))
+    out = np.empty((2, 2) + np.shape(ud), dtype=np.complex128)
+    out[0, 0], out[1, 1] = uu, dd
+    out[0, 1], out[1, 0] = ud, np.conj(ud)
+    return out
+
+
+def on_grid(state: OneParticleState, grid: QuadratureGrid) -> np.ndarray:
+    """The moments M(theta, phi), the radial sum of w_r p^2 a a^dagger in the
+    state's own basis, shape (2, 2, n_theta, n_phi): R * ang ang^dagger for a
+    product state (R the radial sum of |radial|^2, ang its angular pair), the
+    radial sum of the cached mesh components for any other. Every evaluated
+    factor passes the grid's mesh check."""
     pf = state.product
     if pf is None:
-        up, down = state.components_on(grid)
-        return up, down, grid.theta_mesh, grid.phi_mesh, grid.mesh_sum
-    radial = grid._checked_mesh(
-        np.asarray(pf.radial(grid.p_mesh), dtype=np.complex128), "radial factor"
-    )
-    theta, phi = grid.theta_mesh[0], grid.phi_mesh[0]
-    up, down = (
-        grid._checked_mesh(np.asarray(vals, dtype=np.complex128), f"angular {name} factor")
-        for vals, name in zip(pf.angular(theta, phi), ("up", "down"))
-    )
-    return up, down, theta, phi, partial(grid.product_sum, np.abs(radial.ravel()) ** 2)
+        # full radial rows to slice; the (theta, phi) shape stays as evaluated
+        up, down = (np.broadcast_to(a, np.broadcast_shapes(a.shape, grid.p_mesh.shape))
+                    for a in state.components_on(grid))
+        moments = grid.radial_sum(
+            lambda slab, measure: accumulate_outer(measure, up[slab], down[slab])
+        )
+    else:
+        radial = grid._checked_mesh(
+            np.asarray(pf.radial(grid.p_mesh), dtype=np.complex128), "radial factor"
+        )
+        radial_density = np.broadcast_to(np.abs(radial) ** 2, grid.p_mesh.shape)
+        r = grid.radial_sum(lambda slab, measure: measure(radial_density[slab]))
+        up, down = (
+            grid._checked_mesh(np.asarray(vals, dtype=np.complex128), f"angular {name} factor")
+            for vals, name in zip(pf.angular(grid.theta_mesh[0], grid.phi_mesh[0]), ("up", "down"))
+        )
+        moments = accumulate_outer(lambda a: r * a, up, down)
+    return np.broadcast_to(moments, (2, 2, grid.n_theta, grid.n_phi))
 
 
 def norm_squared(state: OneParticleState, grid: QuadratureGrid) -> float:
     """Quadrature of |up|^2 + |down|^2 over the grid (the squared norm)."""
-    up, down, _, _, measure = on_grid(state, grid)
-    return float(measure(np.abs(up) ** 2 + np.abs(down) ** 2))
+    moments = on_grid(state, grid)
+    return float(grid.angular_sum(moments[0, 0].real + moments[1, 1].real))
 
 
 def normalize(state: OneParticleState, grid: QuadratureGrid) -> OneParticleState:

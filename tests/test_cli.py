@@ -287,6 +287,26 @@ def test_unwritable_report_exit_4(tmp_path):
     assert main(["sweep", "eq12_tau_sweep", "--out", str(blocker / "t.csv")]) == 4
 
 
+def test_real_gap_over_zero_sigma_fails_with_a_report(tmp_path, capsys, monkeypatch):
+    """An estimate off by 1e-3 with zero standard errors is outside the bound:
+    exit 1, and the report is written with a null distance."""
+    import helispin.cli as cli
+    from helispin.oracles import McEstimate
+
+    def off_estimate(state, basis, n_samples, seed):
+        value = np.array([[0.5, -PI8 + 1e-3], [-PI8 + 1e-3, 0.5]], dtype=complex)
+        return McEstimate(value=value, std_error=np.zeros((2, 2)), n_samples=n_samples,
+                          seed=seed, ess=float(n_samples))
+
+    monkeypatch.setattr(cli, "mc_density", off_estimate)
+    out = tmp_path / "report.json"
+    assert main(["run", "eq10_theta_independent", "--out", str(out), "--mc", "1000,7"]) == 1
+    block = json.loads(out.read_text())["mc"]["estimates"]["helicity_density"]
+    assert block["max_sigma_distance"] is None
+    assert block["within_bound"] is False
+    assert "mc helicity_density: max sigma distance inf FAIL" in capsys.readouterr().out
+
+
 def test_grid_and_mc_overrides(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(

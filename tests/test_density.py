@@ -169,7 +169,7 @@ def test_basis_consistency_random_states(small_grid):
         for reduce_fn in (hs.reduced_spin_density, hs.reduced_helicity_density):
             direct = reduce_fn(state, small_grid).entries
             sandwiched = reduce_fn(converted, small_grid).entries
-            np.testing.assert_allclose(direct, sandwiched, atol=1e-10)
+            np.testing.assert_allclose(direct, sandwiched, atol=1e-14)
 
 
 def test_invariants_families_and_random_states(small_grid, default_grid):
@@ -248,21 +248,30 @@ def test_convergence_doubling_below_1e10(default_grid):
 
 
 def test_mesh_and_product_paths_agree(small_grid):
-    """The separable fast path and the generic mesh path compute the same
-    reduction, on one radial slab and on two; integrating |psi|^2 node by
-    node gives the mesh path's norm."""
-    two_slabs = hs.build_grid(80, 512, 32)
-    assert len(list(two_slabs.radial_slabs())) == 2
-    for grid in (small_grid, two_slabs):
-        product_state = hs.normalize(hs.anisotropic_spin_up(1.0, 0.8), grid)
+    """The product and mesh moments give the same reduction, on one radial
+    slab and on many, and both agree with the node-by-node rotation of
+    ``with_basis``; the squared norm of the analytically normalized state is
+    1, and integrating |psi|^2 node by node gives the mesh path's norm."""
+    many_slabs = hs.build_grid(80, 512, 32)
+    assert len(list(small_grid.radial_slabs())) == 1
+    assert len(list(many_slabs.radial_slabs())) > 1
+    for grid in (small_grid, many_slabs):
+        bare = hs.anisotropic_spin_up(1.0, 0.8)
         stripped = OneParticleState(
-            basis=product_state.basis,
-            amplitude=lambda p, theta, phi, pf=product_state.amplitude: pf(p, theta, phi),
+            basis=bare.basis,
+            amplitude=lambda p, theta, phi, pf=bare.amplitude: pf(p, theta, phi),
             label="no product form",
         )
+        for state in (bare, stripped):
+            assert abs(hs.norm_squared(state, grid) - 1.0) <= 1e-12
+        product_state = hs.normalize(bare, grid)
         fast = hs.reduced_helicity_density(product_state, grid).entries
-        generic = hs.reduced_helicity_density(stripped, grid).entries
-        np.testing.assert_allclose(fast, generic, atol=1e-13)
+        generic = hs.reduced_helicity_density(hs.normalize(stripped, grid), grid).entries
+        node_by_node = hs.reduced_helicity_density(
+            hs.with_basis(product_state, hs.HELICITY), grid
+        ).entries
+        np.testing.assert_allclose(fast, generic, atol=1e-14)
+        np.testing.assert_allclose(fast, node_by_node, atol=1e-14)
 
         def density(p, theta, phi):
             up, down = stripped.amplitude(p, theta, phi)

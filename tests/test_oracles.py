@@ -9,7 +9,7 @@ import helispin as hs
 from helispin.cli import MC_SIGMA_BOUND
 from helispin.errors import ConfigurationError, DegenerateInputError, NumericalDomainError
 from helispin.oracles import MAX_MC_SAMPLES, PROPOSAL_WIDTH, McEstimate, mc_density
-from helispin.states import OneParticleState
+from helispin.states import OneParticleState, ProductForm
 
 from conftest import random_state
 
@@ -220,6 +220,42 @@ def test_mc_estimate_fields():
     assert 0.0 < est.ess <= est.n_samples
     # single-component spin state: exact projector with zero variance
     np.testing.assert_array_equal(est.value, np.array([[1, 0], [0, 0]], dtype=complex))
+
+
+def test_sigma_distance_of_known_gaps():
+    """gap / sigma per entry; a roundoff gap is agreement even over a zero
+    standard error, and a larger gap over a zero one is infinitely far."""
+    from helispin.oracles import ROUNDOFF_GAP
+
+    est = McEstimate(value=0.5 * np.eye(2, dtype=complex),
+                     std_error=np.array([[0.0, 0.0], [0.0, 1e-3]]), n_samples=100, seed=0, ess=1.0)
+    reference = np.array([[0.5 + ROUNDOFF_GAP / 2.0, 2.0 * ROUNDOFF_GAP], [0.0, 0.5 + 2e-3]])
+    distance = est.sigma_distance(reference)
+    assert distance[0, 0] == 0.0 and distance[1, 0] == 0.0
+    assert distance[0, 1] == np.inf
+    assert distance[1, 1] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_pure_tilted_states_agree_despite_zero_sigma(default_grid):
+    """A spin eigenstate along a random axis is pure in the spin basis, so
+    several entries have a standard error of exactly 0; quadrature and
+    Monte-Carlo still agree within the bound."""
+    rng = np.random.default_rng(0)
+    zero_sigma = 0
+    for _ in range(40):
+        beta, gamma = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+        chi = (np.cos(beta / 2.0), np.exp(1j * gamma) * np.sin(beta / 2.0))
+
+        def angular(theta, phi, chi=chi):
+            ones = np.ones(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+            return chi[0] * ones, chi[1] * ones
+
+        state = OneParticleState(hs.SPIN, ProductForm(lambda p: np.exp(-p * p / 2.0), angular))
+        quad = hs.reduced_spin_density(hs.normalize(state, default_grid), default_grid).entries
+        est = mc_density(state, hs.SPIN, 1000, seed=7)
+        zero_sigma += bool(np.any(est.std_error == 0.0))
+        assert est.sigma_distance(quad).max() <= MC_SIGMA_BOUND
+    assert zero_sigma > 0
 
 
 def test_mc_validation():

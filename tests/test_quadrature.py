@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import helispin as hs
 from helispin.errors import ConfigurationError, NumericalDomainError
-from helispin.quadrature import build_grid, integrate, refine
+from helispin.quadrature import BLOCK_NODES, build_grid, integrate, refine
 
 
 def test_ball_volume():
@@ -138,7 +138,7 @@ def test_grid_constructor_checks(change, message):
 def test_non_finite_integrand_identifies_node():
     """The error names the global flat node index, also past the first
     radial slab of a large grid."""
-    first_slab = 64 * 512 * 32
+    first_slab = BLOCK_NODES  # whole radial rows of 512 * 32 nodes
     for grid, node in ((build_grid(4, 4, 4, r_max=1.0), 3),
                        (build_grid(80, 512, 32), first_slab + 3)):
         r, t, k = np.unravel_index(node, grid.mesh_shape)
